@@ -22,7 +22,7 @@ from .skewposet import (
     build_poset,
     count_linear_extensions,
     interpolate_polynomial,
-    order_polynomial_value,
+    order_polynomial_values,
 )
 
 USAGE_ERROR = 2
@@ -40,6 +40,14 @@ def _parse_partition(text: str | None) -> Partition:
 
 class UsageError(Exception):
     pass
+
+
+def _tmax(args, default: int) -> int:
+    if args.tmax is None:
+        return default
+    if args.tmax < 0:
+        raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
+    return args.tmax
 
 
 def _shape_from_args(args) -> SkewShape:
@@ -117,11 +125,11 @@ def _cmd_ehrhart(args) -> int:
     shape = _shape_from_args(args)
     poly = PasmPolytope(shape)
     P = build_poset(shape)
-    t_max = args.tmax if args.tmax is not None else shape.size
-    values = [(t, order_polynomial_value(P, t + 1)) for t in range(0, t_max + 1)]
-    degree = shape.size
-    samples = [(t, order_polynomial_value(P, t + 1)) for t in range(0, degree + 1)]
-    ehrhart = interpolate_polynomial(samples)
+    t_max = _tmax(args, shape.size)
+    # L(t) = Omega(P, t + 1); the polynomial needs L(0..|P|).
+    counts = list(enumerate(order_polynomial_values(P, max(t_max, shape.size) + 1)))
+    values = counts[:t_max + 1]
+    ehrhart = interpolate_polynomial(counts[:shape.size + 1])
     if args.format == "json":
         _emit(args, json.dumps({
             "spec": shape.to_json(),
@@ -172,7 +180,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_certify(args) -> int:
     poly = PasmPolytope(_shape_from_args(args))
-    t_max = args.tmax if args.tmax is not None else 2
+    t_max = _tmax(args, 2)
     report = certify_integral_equivalence(poly, t_max)
     ok = certificate_passes(report)
     if args.format == "json":
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_shape=True):
+    def add_common(p, needs_shape=True, formats=("text", "json")):
         if needs_shape:
             p.add_argument("--lambda", dest="lam", default="", metavar="PARTS",
                            help="inner partition, e.g. 3,1 (empty by default)")
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="outer partition, e.g. 4,2,2")
             p.add_argument("--m", type=int, default=None, help="ambient rows (default: minimal box)")
             p.add_argument("--n", type=int, default=None, help="ambient columns (default: minimal box)")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
 
     p = sub.add_parser("vertices", help="list the vertex matrices")
@@ -226,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ehrhart)
 
     p = sub.add_parser("face-labeling", help="grid-graph labeling encoding the polytope as a face")
-    add_common(p)
+    add_common(p, formats=("text", "json", "dot"))
     p.set_defaults(func=_cmd_face_labeling)
 
     p = sub.add_parser("flow-graph", help="the dual flow graph of the cell poset")
-    add_common(p)
+    add_common(p, formats=("text", "json", "dot"))
     p.set_defaults(func=_cmd_flow_graph)
 
     p = sub.add_parser("phi", help="translate a square matrix by the antidiagonal completion")
@@ -255,10 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

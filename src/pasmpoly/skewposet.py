@@ -8,7 +8,7 @@ extension; that fact is exploited throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .shapes import Cell, SkewShape
@@ -112,65 +112,43 @@ def in_order_polytope(P: SkewPoset, f: Mapping[Cell, Scalar]) -> bool:
     return all(vals[a] <= vals[b] for a, b in P.covers)
 
 
+def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The lattice J(P) of down-closed subsets, as bitmasks over elements.
+
+    Returns ``(ideals, covers)``.  ``covers[x]`` lists the pairs ``(i, j)``
+    with ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
+    increasing i; every lower cover comes before its ideal, so ``ideals[0]``
+    is empty and ``ideals[-1]`` is all of P.  Ideals are grown one element
+    at a time in row-major order: since that order is a linear extension,
+    an ideal's largest element is maximal in it and removing it leaves an
+    ideal that is already listed.
+    """
+    d = len(P)
+    ideals = [0]
+    for x in range(d):
+        below = sum(1 << a for a in P.lower_covers(x))
+        ideals += [I | 1 << x for I in ideals if I & below == below]
+    index = {I: k for k, I in enumerate(ideals)}
+    covers = []
+    for x in range(d):
+        bit = 1 << x
+        above = sum(1 << b for b in P.upper_covers(x))
+        covers.append([(i, index[I ^ bit]) for i, I in enumerate(ideals)
+                       if I & bit and not I & above])
+    return ideals, covers
+
+
 def count_linear_extensions(P: SkewPoset) -> int:
     """Number of order-preserving bijections onto {1,...,|P|}.
 
-    Counted by peeling maximal elements from downsets, memoized on the
-    downset bitmask.
+    Counts the saturated chains of J(P) from the empty ideal to P, one
+    added maximal element per step: h(I) is the sum of h(I - {x}).
     """
-    d = len(P)
-    if d == 0:
-        return 1
-    up_mask = [0] * d
-    for a, b in P.covers:
-        up_mask[a] |= 1 << b
-    memo: dict[int, int] = {0: 1}
-
-    def count(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            k = low.bit_length() - 1
-            rest ^= low
-            if up_mask[k] & mask == 0:
-                total += count(mask ^ low)
-        memo[mask] = total
-        return total
-
-    return count((1 << d) - 1)
-
-
-def linear_extensions(P: SkewPoset) -> Iterator[tuple[int, ...]]:
-    """All linear extensions as tuples of element indices, low to high."""
-    d = len(P)
-    if d == 0:
-        yield ()
-        return
-    placed = [False] * d
-    remaining_down = [len(P.lower_covers(k)) for k in range(d)]
-    order: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(order) == d:
-            yield tuple(order)
-            return
-        for k in range(d):
-            if not placed[k] and remaining_down[k] == 0:
-                placed[k] = True
-                for b in P.upper_covers(k):
-                    remaining_down[b] -= 1
-                order.append(k)
-                yield from rec()
-                order.pop()
-                for b in P.upper_covers(k):
-                    remaining_down[b] += 1
-                placed[k] = False
-
-    yield from rec()
+    ideals, covers = _ideal_lattice(P)
+    h = [1] + [0] * (len(ideals) - 1)
+    for i, j in sorted(pair for pairs in covers for pair in pairs):
+        h[i] += h[j]
+    return h[-1]
 
 
 def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int, ...]]:
@@ -199,86 +177,41 @@ def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int,
     yield from rec(0)
 
 
-def _order_polynomial_brute(P: SkewPoset, t: int) -> int:
-    d = len(P)
-    count = 0
+def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:
+    """[Omega(P, 1), ..., Omega(P, t_max)]: order-preserving maps into t-chains.
 
-    def rec(k: int, vals: list[int]) -> int:
-        if k == d:
-            return 1
-        lo = 1
-        for p in P.lower_covers(k):
-            if vals[p] > lo:
-                lo = vals[p]
-        total = 0
-        for v in range(lo, t + 1):
-            vals[k] = v
-            total += rec(k + 1, vals)
-        return total
-
-    count = rec(0, [0] * d)
-    return count
-
-
-def _order_polynomial_extensions(P: SkewPoset, t: int) -> int:
-    """Order polynomial as a descent-weighted sum over linear extensions.
-
-    Each extension w contributes binom(t + d - 1 - des(w), d), where des(w)
-    counts positions where the natural (row-major) labels decrease.
+    A map into {1,...,t} is a multichain of t - 1 ideals between the empty
+    ideal and P, so Omega(P, t) = zeta^t(empty, P) on J(P) (Stanley, "Two
+    poset polytopes", 1986).  Each zeta pass sums g over all sub-ideals one
+    element at a time, in row-major order: adding g(I - {x}) to g(I) for
+    every cover pair of x.
     """
-    d = len(P)
-    if d == 0:
-        return 1
-    total = 0
-    for w in linear_extensions(P):
-        des = sum(1 for a, b in zip(w, w[1:]) if a > b)
-        total += comb(t + d - 1 - des, d)
-    return total
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    ideals, covers = _ideal_lattice(P)
+    g = [1] + [0] * (len(ideals) - 1)
+    values = []
+    for _ in range(t_max):
+        for pairs in covers:
+            for i, j in pairs:
+                g[i] += g[j]
+        values.append(g[-1])
+    return values
 
 
-def order_polynomial_value(P: SkewPoset, t: int, method: str = "auto") -> int:
+def order_polynomial_value(P: SkewPoset, t: int) -> int:
     """Number of order-preserving maps from P into a t-chain."""
     if t < 1:
         raise ValueError("order polynomial is defined for positive t")
-    d = len(P)
-    if method == "auto":
-        method = "brute" if t**d <= 500_000 else "extensions"
-    if method == "brute":
-        return _order_polynomial_brute(P, t)
-    if method == "extensions":
-        if d > 15:
-            raise ValueError("extension enumeration is capped at 15 elements")
-        return _order_polynomial_extensions(P, t)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def enumerate_ideals(P: SkewPoset) -> list[frozenset[Cell]]:
-    """All down-closed subsets, each once."""
-    d = len(P)
-    chosen = [False] * d
-    out: list[frozenset[Cell]] = []
-
-    def rec(k: int) -> None:
-        if k == d:
-            out.append(frozenset(P.elements[i] for i in range(d) if chosen[i]))
-            return
-        # excluding k is always allowed for a downset prefix
-        chosen[k] = False
-        rec(k + 1)
-        if all(chosen[p] for p in P.lower_covers(k)):
-            chosen[k] = True
-            rec(k + 1)
-            chosen[k] = False
-
-    rec(0)
-    return out
+    return order_polynomial_values(P, t)[-1]
 
 
 def enumerate_filters(P: SkewPoset) -> list[frozenset[Cell]]:
     """All up-closed subsets; indicator functions of these are exactly the
     0/1 points of the order polytope."""
-    all_cells = frozenset(P.elements)
-    filters = [all_cells - ideal for ideal in enumerate_ideals(P)]
+    ideals, _ = _ideal_lattice(P)
+    filters = [frozenset(c for k, c in enumerate(P.elements) if not I >> k & 1)
+               for I in ideals]
     return sorted(filters, key=lambda s: (len(s), sorted(s)))
 
 
@@ -353,11 +286,10 @@ def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def order_polynomial(P: SkewPoset, method: str = "auto") -> UniPoly:
+def order_polynomial(P: SkewPoset) -> UniPoly:
     """The order polynomial of P, interpolated from |P|+1 exact values."""
-    d = len(P)
-    samples = [(t, order_polynomial_value(P, t, method=method)) for t in range(1, d + 2)]
-    return interpolate_polynomial(samples)
+    values = order_polynomial_values(P, len(P) + 1)
+    return interpolate_polynomial(list(enumerate(values, start=1)))
 
 
 def leading_term_check(P: SkewPoset) -> bool:

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
+from math import factorial
 
-from pasmpoly import Matrix
+from pasmpoly import Matrix, Partition, SkewShape, build_poset, count_linear_extensions
 from pasmpoly.cli import main
 
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
@@ -52,6 +54,21 @@ def test_ehrhart_json(capsys):
     # degree-4 polynomial with leading coefficient 1/3
     assert data["ehrhart_poly"][-1] == "1/3"
     assert len(data["ehrhart_poly"]) == 5
+
+
+def test_ehrhart_beyond_fifteen_cells(capsys):
+    code, out = run(capsys, "ehrhart", "--nu", "4,4,4,4")
+    assert code == 0
+    coeffs = json.loads(out.splitlines()[-1].partition(": ")[2].replace("'", '"'))
+    e = count_linear_extensions(build_poset(SkewShape(Partition([4, 4, 4, 4]), Partition())))
+    assert len(coeffs) == 17
+    assert Fraction(coeffs[-1]) == Fraction(e, factorial(16))
+
+
+def test_ehrhart_rejects_negative_tmax(capsys):
+    code, out = run(capsys, "ehrhart", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "-3")
+    assert code == 2
+    assert out == ""
 
 
 def test_check_member_and_nonmember(tmp_path, capsys):
@@ -125,6 +142,18 @@ def test_certify(capsys):
     data = json.loads(out)
     assert data["affine_unimodular"] and data["vertex_bijection"]
     assert data["dilate_counts"] == [[1, 10, 10], [2, 42, 42]]
+
+
+def test_certify_rejects_negative_tmax(capsys):
+    code, out = run(capsys, "certify", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "-1")
+    assert code == 2
+    assert out == ""
+
+
+def test_dot_format_only_for_drawing_subcommands(capsys):
+    code, out = run(capsys, "vertices", "--nu", "4,2,2", "--lambda", "3,1", "--format", "dot")
+    assert code == 2
+    assert out == ""
 
 
 def test_usage_errors(capsys):

@@ -77,13 +77,16 @@ def test_enumerate_between_interval_property(lam, nu):
 
 
 def test_enumerate_between_counts_filters():
-    # Interval size equals the number of order filters of the cell poset.
+    # mu -> mu/lam maps the interval onto the order ideals of the cell poset,
+    # which are exactly the complements of its order filters.
     from pasmpoly import build_poset, enumerate_filters
 
     for shape in all_skew_shapes(6):
         mus = enumerate_between(shape.lam, shape.nu)
-        filters = enumerate_filters(build_poset(shape))
-        assert len(mus) == len(filters)
+        P = build_poset(shape)
+        ideals = [frozenset(P.elements) - f for f in enumerate_filters(P)]
+        assert len(mus) == len(ideals) == len(set(ideals))
+        assert {mu.diagram() - shape.lam.diagram() for mu in mus} == set(ideals)
 
 
 def test_border_strip_golden():

@@ -3,6 +3,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pasmpoly import (
     Partition,
@@ -17,12 +18,11 @@ from pasmpoly import (
 )
 from pasmpoly.skewposet import (
     SkewPoset,
-    enumerate_ideals,
     enumerate_order_preserving_maps,
     filter_indicator,
     leading_term_check,
-    linear_extensions,
     order_polynomial,
+    order_polynomial_values,
 )
 
 from families import all_skew_shapes
@@ -102,14 +102,6 @@ def test_count_linear_extensions_against_permutation_oracle():
         assert count_linear_extensions(P) == brute_linear_extension_count(P)
 
 
-def test_linear_extensions_enumeration_matches_count():
-    for shape in all_skew_shapes(5):
-        P = build_poset(shape)
-        exts = list(linear_extensions(P))
-        assert len(exts) == count_linear_extensions(P)
-        assert len(set(exts)) == len(exts)
-
-
 def test_order_polynomial_examples():
     P = build_poset(EXAMPLE)
     assert order_polynomial_value(P, 1) == 1
@@ -120,12 +112,40 @@ def test_order_polynomial_examples():
 
 
 def test_order_polynomial_two_paths_agree():
-    for shape in all_skew_shapes(5):
+    for shape in all_skew_shapes(6, max_skew_size=5):
         P = build_poset(shape)
         for t in range(1, 5):
-            brute = order_polynomial_value(P, t, method="brute")
-            ext = order_polynomial_value(P, t, method="extensions")
-            assert brute == ext == brute_order_polynomial(P, t)
+            assert order_polynomial_value(P, t) == brute_order_polynomial(P, t), (shape, t)
+
+
+def test_order_polynomial_beyond_fifteen_elements():
+    P = build_poset(SkewShape(Partition([5, 5, 5, 5]), Partition()))
+    assert len(P) == 20
+    values = [order_polynomial_value(P, t) for t in range(1, 6)]
+    assert values == [1, 126, 5292, 116424, 1646568]
+    assert order_polynomial_values(P, 5) == values
+    assert order_polynomial_values(P, 0) == []
+    with pytest.raises(ValueError):
+        order_polynomial_values(P, -1)
+
+
+@st.composite
+def skew_posets(draw):
+    """Cell posets of random skew shapes with 6 to 8 cells in a 4 x 4 box."""
+    nu = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)), reverse=True)
+    lam = []
+    for k, part in enumerate(nu):
+        lam.append(draw(st.integers(0, min(part, lam[k - 1]) if k else part)))
+    shape = SkewShape(Partition(nu), Partition([p for p in lam if p]))
+    assume(6 <= shape.size <= 8)
+    return build_poset(shape)
+
+
+@given(skew_posets(), st.integers(1, 3))
+def test_order_polynomial_values_match_map_enumeration(P, t_max):
+    assert order_polynomial_values(P, t_max) == [
+        sum(1 for _ in enumerate_order_preserving_maps(P, t)) for t in range(1, t_max + 1)
+    ]
 
 
 def test_order_polynomial_at_two_counts_filters():
@@ -160,13 +180,6 @@ def test_filters_are_exactly_monotone_01_points():
         assert all(
             in_order_polytope(P, filter_indicator(P, f)) for f in filters
         )
-
-
-def test_ideals_complement_filters():
-    P = build_poset(EXAMPLE)
-    ideals = set(enumerate_ideals(P))
-    everything = frozenset(P.elements)
-    assert {everything - f for f in enumerate_filters(P)} == ideals
 
 
 def test_order_preserving_map_enumeration():
