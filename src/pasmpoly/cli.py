@@ -42,11 +42,11 @@ class UsageError(Exception):
     pass
 
 
-def _tmax(args, default: int) -> int:
+def _tmax(args, default: int, least: int) -> int:
     if args.tmax is None:
         return default
-    if args.tmax < 0:
-        raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
+    if args.tmax < least:
+        raise UsageError(f"--tmax must be >= {least}, got {args.tmax}")
     return args.tmax
 
 
@@ -123,14 +123,14 @@ def _cmd_volume(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     shape = _shape_from_args(args)
-    poly = PasmPolytope(shape)
     P = build_poset(shape)
-    t_max = _tmax(args, shape.size)
+    t_max = _tmax(args, shape.size, least=0)
     # L(t) = Omega(P, t + 1); the polynomial needs L(0..|P|).
     counts = list(enumerate(order_polynomial_values(P, max(t_max, shape.size) + 1)))
     values = counts[:t_max + 1]
     ehrhart = interpolate_polynomial(counts[:shape.size + 1])
     if args.format == "json":
+        poly = PasmPolytope(shape)
         _emit(args, json.dumps({
             "spec": shape.to_json(),
             "vertices": [v.to_json_dict() for v in poly.vertices()],
@@ -180,7 +180,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_certify(args) -> int:
     poly = PasmPolytope(_shape_from_args(args))
-    t_max = _tmax(args, 2)
+    # With no dilate to scan, a pass would check nothing of the counts.
+    t_max = _tmax(args, 2, least=1)
     report = certify_integral_equivalence(poly, t_max)
     ok = certificate_passes(report)
     if args.format == "json":

@@ -36,7 +36,7 @@ class HasseEdge(NamedTuple):
 class PlanarHasse:
     """Hasse diagram of the augmented poset with a planar rotation system."""
 
-    __slots__ = ("poset", "nodes", "edges", "rotations", "faces", "outer_face")
+    __slots__ = ("poset", "nodes", "edges", "rotations", "faces", "_face_at", "outer_face")
 
     def __init__(self, poset: SkewPoset, nodes, edges, rotations):
         self.poset = poset
@@ -46,6 +46,9 @@ class PlanarHasse:
             v: tuple(r) for v, r in rotations.items()
         }
         self.faces: tuple[tuple[Dart, ...], ...] = self._trace_faces()
+        self._face_at: dict[Dart, int] = {
+            d: k for k, face in enumerate(self.faces) for d in face
+        }
         euler = len(self.nodes) - len(self.edges) + len(self.faces)
         if euler != 2:
             raise ValueError(f"rotation system is not planar (Euler characteristic {euler})")
@@ -84,18 +87,13 @@ class PlanarHasse:
         left_up = next(
             (e, True) for e, edge in enumerate(self.edges) if edge.kind == "left"
         )
-        for k, face in enumerate(self.faces):
-            if left_up in face:
-                if any(self.edges[e].kind == "cover" for e, _ in face):
-                    raise ValueError("outer face touches a non-arc edge")
-                return k
-        raise ValueError("left arc not found on any face")
+        k = self._face_at[left_up]
+        if any(self.edges[e].kind == "cover" for e, _ in self.faces[k]):
+            raise ValueError("outer face touches a non-arc edge")
+        return k
 
     def face_of(self, dart: Dart) -> int:
-        for k, face in enumerate(self.faces):
-            if dart in face:
-                return k
-        raise KeyError(dart)
+        return self._face_at[dart]
 
     def bounded_face_count(self) -> int:
         return len(self.faces) - 1
@@ -174,7 +172,7 @@ class FlowEdge(NamedTuple):
 class FlowGraph:
     """Truncated dual of the planar diagram, oriented west to east."""
 
-    __slots__ = ("poset", "num_vertices", "edges", "source", "sink")
+    __slots__ = ("poset", "num_vertices", "edges", "source", "sink", "_out", "_in")
 
     def __init__(self, poset: SkewPoset, num_vertices: int, edges, source: int, sink: int):
         self.poset = poset
@@ -182,12 +180,18 @@ class FlowGraph:
         self.edges: tuple[FlowEdge, ...] = tuple(edges)
         self.source = source
         self.sink = sink
+        # Edge indices leaving and entering each vertex, in increasing order.
+        self._out: list[list[int]] = [[] for _ in range(num_vertices)]
+        self._in: list[list[int]] = [[] for _ in range(num_vertices)]
+        for k, e in enumerate(self.edges):
+            self._out[e.tail].append(k)
+            self._in[e.head].append(k)
 
     def out_edges(self, v: int) -> list[int]:
-        return [k for k, e in enumerate(self.edges) if e.tail == v]
+        return list(self._out[v])
 
     def in_edges(self, v: int) -> list[int]:
-        return [k for k, e in enumerate(self.edges) if e.head == v]
+        return list(self._in[v])
 
     def topological_order(self) -> list[int]:
         indeg = [0] * self.num_vertices
@@ -198,11 +202,11 @@ class FlowGraph:
         while ready:
             v = ready.pop()
             order.append(v)
-            for e in self.edges:
-                if e.tail == v:
-                    indeg[e.head] -= 1
-                    if indeg[e.head] == 0:
-                        ready.append(e.head)
+            for k in self._out[v]:
+                w = self.edges[k].head
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
         if len(order) != self.num_vertices:
             raise ValueError("flow graph is not acyclic")
         return order
@@ -275,11 +279,12 @@ def truncated_dual(H: PlanarHasse) -> FlowGraph:
     frontier = [G.source]
     while frontier:
         v = frontier.pop()
-        for e in G.edges:
-            for w in ((e.head,) if e.tail == v else ()) + ((e.tail,) if e.head == v else ()):
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
+        neighbours = [G.edges[k].head for k in G.out_edges(v)]
+        neighbours += [G.edges[k].tail for k in G.in_edges(v)]
+        for w in neighbours:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
     if len(reached) != G.num_vertices:
         raise ValueError("flow graph is disconnected")
     return G

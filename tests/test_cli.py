@@ -56,6 +56,15 @@ def test_ehrhart_json(capsys):
     assert len(data["ehrhart_poly"]) == 5
 
 
+def test_ehrhart_json_at_dimension_twenty(capsys):
+    code, out = run(capsys, "ehrhart", "--nu", "5,5,5,5", "--tmax", "1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["dimension"] == 20
+    assert len(data["vertices"]) == 126
+    assert data["ehrhart_values"] == [[0, 1], [1, 126]]
+
+
 def test_ehrhart_beyond_fifteen_cells(capsys):
     code, out = run(capsys, "ehrhart", "--nu", "4,4,4,4")
     assert code == 0
@@ -148,6 +157,15 @@ def test_certify_rejects_negative_tmax(capsys):
     code, out = run(capsys, "certify", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "-1")
     assert code == 2
     assert out == ""
+
+
+def test_certify_rejects_tmax_zero(capsys):
+    code, out = run(capsys, "certify", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "0")
+    assert code == 2
+    assert out == ""
+    code, out = run(capsys, "ehrhart", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "0")
+    assert code == 0
+    assert out.startswith("L(0) = 1\n")
 
 
 def test_dot_format_only_for_drawing_subcommands(capsys):
