@@ -26,7 +26,7 @@ from .skewposet import (
     order_polynomial_value,
 )
 from .hooklength import excited_diagrams, hooks, naruse_count
-from .polytope import DilateCount, PasmPolytope, is_extreme
+from .polytope import DilateCount, PasmPolytope, ResourceLimit, is_extreme
 from .equivalences import (
     certify_integral_equivalence,
     complete_to_asm,
@@ -62,6 +62,7 @@ __all__ = [
     "Partition",
     "PasmPolytope",
     "PlanarHasse",
+    "ResourceLimit",
     "SkewPoset",
     "SkewShape",
     "TOP",

@@ -2,7 +2,8 @@
 
 Subcommands construct, verify, count, and export the objects of the
 library.  Exit codes: 0 success/pass, 1 verification failure, 2 usage
-error.  All numeric output is exact (integers or "p/q" strings).
+error, 3 resource limit (a guardrail refused the instance).  All numeric
+output is exact (integers or "p/q" strings).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .facelattice import face_labeling, labeling_to_dot, labeling_to_json, regio
 from .flowpoly import build_flow_graph
 from .hooklength import naruse_count
 from .matrices import Matrix
-from .polytope import PasmPolytope
+from .polytope import PasmPolytope, ResourceLimit
 from .shapes import Partition, SkewShape
 from .skewposet import (
     build_poset,
@@ -27,6 +28,7 @@ from .skewposet import (
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+RESOURCE_LIMIT = 3
 
 
 def _parse_partition(text: str | None) -> Partition:
@@ -110,7 +112,12 @@ def _cmd_dim(args) -> int:
 def _cmd_volume(args) -> int:
     shape = _shape_from_args(args)
     by_extensions = count_linear_extensions(build_poset(shape))
-    by_hooks = naruse_count(shape.nu, shape.lam)
+    try:
+        by_hooks = naruse_count(shape.nu, shape.lam)
+    except ArithmeticError as exc:
+        # The hook sum was not an integer: the two methods cannot agree.
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFICATION_FAILURE
     if args.format == "json":
         _emit(args, json.dumps(
             {"linear_extensions": by_extensions, "hook_formula": by_hooks,
@@ -266,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return RESOURCE_LIMIT if isinstance(exc, ResourceLimit) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -106,7 +106,11 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int, seed: int = 0) 
     * it bijects vertices onto the filter indicators of the cell poset;
     * for each t <= t_max, it bijects the integer points of the t-th dilate
       onto the order-preserving maps into {0, ..., t}.
+
+    t_max must be at least 1, so that some dilate is checked.
     """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     P = build_poset(poly.shape)
     cells = poly.shape.cells()
     d = len(cells)
@@ -182,6 +186,11 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int, seed: int = 0) 
 
 
 def certificate_passes(report: dict) -> bool:
-    return bool(report["affine_unimodular"]) and bool(report["vertex_bijection"]) and all(
-        lhs == rhs for _, lhs, rhs in report["dilate_counts"]
+    """True iff every check passed and at least one dilate was compared."""
+    counts = report["dilate_counts"]
+    return (
+        bool(report["affine_unimodular"])
+        and bool(report["vertex_bijection"])
+        and bool(counts)
+        and all(lhs == rhs for _, lhs, rhs in counts)
     )

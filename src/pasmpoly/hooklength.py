@@ -1,17 +1,23 @@
 """Hook numbers, excited diagrams, and skew standard tableau counting.
 
-The count of linear extensions of a skew-shape cell poset is evaluated as
+The count of linear extensions of a skew-shape cell poset is Naruse's
+excited-diagram hook sum
 
     |nu/lam|! * sum over excited diagrams D of prod over cells of nu not
-    in D of 1/h(cell)
+    in D of 1/h(cell).
 
-with all arithmetic exact; the sum is asserted to be integral.
+Since prod over cells not in D of 1/h equals prod over D of h divided by
+prod over nu of h, it is evaluated in integers as
+
+    |nu/lam|! * (sum over D of prod over c in D of h(c)) // (prod over c in nu of h(c))
+
+and the division is checked to leave no remainder.  Both public functions
+read one search over excited diagrams held as bitmasks of the cells of nu.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .shapes import Cell, Partition, contains
 
@@ -26,51 +32,82 @@ def hooks(nu: Partition) -> dict[Cell, int]:
     }
 
 
-def excited_diagrams(nu: Partition, lam: Partition) -> list[frozenset[Cell]]:
-    """All cell sets reachable from the diagram of lam by excited moves.
+def _excited_masks(nu: Partition, lam: Partition) -> tuple[list[Cell], set[int]]:
+    """The cells of nu in row-major order, and every excited diagram of lam
+    in nu as a bitmask over that order (bit k is the k-th cell).
 
-    A cell (i,j) of the diagram moves to (i+1,j+1) when none of (i,j+1),
-    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu.  Search is
-    breadth-first with deduplication; the start diagram is included.
+    A cell (i,j) of a diagram moves to (i+1,j+1) when none of (i,j+1),
+    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu; the last
+    condition implies the other two cells lie in nu as well.  The start
+    diagram is included.
     """
     if not contains(lam, nu):
         raise ValueError(f"{lam!r} is not contained in {nu!r}")
-    ambient = nu.diagram()
-    start = frozenset(lam.diagram())
+    cells = sorted(nu.diagram())
+    index = {c: k for k, c in enumerate(cells)}
+    # moves[k] = (bit of the target cell, bits of the three blocking cells)
+    moves: list[tuple[int, int] | None] = []
+    for (i, j) in cells:
+        target = index.get((i + 1, j + 1))
+        if target is None:
+            moves.append(None)
+        else:
+            to = 1 << target
+            moves.append((to, to | 1 << index[(i, j + 1)] | 1 << index[(i + 1, j)]))
+    start = sum(1 << index[c] for c in lam.diagram())
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for diag in frontier:
-            for (i, j) in diag:
-                if (
-                    (i, j + 1) not in diag
-                    and (i + 1, j) not in diag
-                    and (i + 1, j + 1) not in diag
-                    and (i + 1, j + 1) in ambient
-                ):
-                    moved = (diag - {(i, j)}) | {(i + 1, j + 1)}
+        for mask in frontier:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                move = moves[low.bit_length() - 1]
+                if move is not None and not mask & move[1]:
+                    moved = mask ^ low | move[0]
                     if moved not in seen:
                         seen.add(moved)
                         nxt.append(moved)
         frontier = nxt
-    return sorted(seen, key=lambda d: sorted(d))
+    return cells, seen
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def excited_diagrams(nu: Partition, lam: Partition) -> list[frozenset[Cell]]:
+    """All cell sets reachable from the diagram of lam by excited moves.
+
+    A cell (i,j) of the diagram moves to (i+1,j+1) when none of (i,j+1),
+    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu.  The start
+    diagram is included; diagrams are sorted by their sorted cell lists.
+    """
+    cells, masks = _excited_masks(nu, lam)
+    # Row-major indices order cells as tuples do, so sorting the index lists
+    # sorts the diagrams by their sorted cell lists.
+    return [frozenset(cells[k] for k in bits) for bits in sorted(map(_bits, masks))]
 
 
 def naruse_count(nu: Partition, lam: Partition) -> int:
     """Number of linear extensions of the nu/lam cell poset, via the
     excited-diagram hook sum.  Exact; raises if the sum is not integral."""
-    if not contains(lam, nu):
-        raise ValueError(f"{lam!r} is not contained in {nu!r}")
+    cells, masks = _excited_masks(nu, lam)
     h = hooks(nu)
-    ambient = nu.diagram()
-    total = Fraction(0)
-    for diag in excited_diagrams(nu, lam):
-        prod = Fraction(1)
-        for cell in ambient - diag:
-            prod /= h[cell]
-        total += prod
-    result = factorial(nu.size - lam.size) * total
-    if result.denominator != 1:
-        raise ArithmeticError(f"hook sum produced non-integer {result}")
-    return int(result)
+    hook_of = [h[c] for c in cells]
+    numerator = factorial(nu.size - lam.size) * sum(
+        prod(hook_of[k] for k in _bits(mask)) for mask in masks
+    )
+    denominator = prod(hook_of)
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"hook sum produced non-integer {numerator}/{denominator}")
+    return quotient

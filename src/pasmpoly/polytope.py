@@ -27,6 +27,11 @@ DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
 
 
+class ResourceLimit(ValueError):
+    """A guardrail refused an instance: the message names the limit and the
+    size of the instance.  A ValueError, distinct from bad input."""
+
+
 class DilateCount(NamedTuple):
     t: int
     count: int
@@ -177,9 +182,9 @@ class PasmPolytope:
         """
         free = len(self.free_cells())
         if free > BRUTE_FREE_CELL_LIMIT:
-            raise ValueError(
-                f"instance too large for the brute scan ({free} free cells > "
-                f"{BRUTE_FREE_CELL_LIMIT})"
+            raise ResourceLimit(
+                f"brute scan guardrail exceeded: {free} free cells, "
+                f"limit {BRUTE_FREE_CELL_LIMIT}"
             )
         return list(self._scan_integer_points(1))
 
@@ -187,24 +192,24 @@ class PasmPolytope:
         """Affine dimension of the vertex set, by exact rank computation."""
         return affine_rank([v.flatten() for v in self.vertices()])
 
-    def dilate_lattice_points(self, t: int) -> DilateCount:
-        """Number of integer matrices in the t-th dilate, by direct scan."""
+    def _check_dilate(self, t: int) -> None:
         if t < 0:
             raise ValueError("dilation factor must be nonnegative")
         if self.shape.size > DILATE_SIZE_LIMIT or t > DILATE_T_LIMIT:
-            raise ValueError(
-                f"dilate scan guardrail exceeded (|nu/lam| <= {DILATE_SIZE_LIMIT}, "
-                f"t <= {DILATE_T_LIMIT})"
+            raise ResourceLimit(
+                f"dilate scan guardrail exceeded: |nu/lam| = {self.shape.size}, t = {t}; "
+                f"limits |nu/lam| <= {DILATE_SIZE_LIMIT}, t <= {DILATE_T_LIMIT}"
             )
+
+    def dilate_lattice_points(self, t: int) -> DilateCount:
+        """Number of integer matrices in the t-th dilate, by direct scan."""
+        self._check_dilate(t)
         count = sum(1 for _ in self._scan_integer_points(t))
         return DilateCount(t, count)
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""
-        if t < 0:
-            raise ValueError("dilation factor must be nonnegative")
-        if self.shape.size > DILATE_SIZE_LIMIT or t > DILATE_T_LIMIT:
-            raise ValueError("dilate scan guardrail exceeded")
+        self._check_dilate(t)
         return list(self._scan_integer_points(t))
 
     def __repr__(self) -> str:

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import pasmpoly.hooklength
 from pasmpoly import Matrix, Partition, SkewShape, build_poset, count_linear_extensions
 from pasmpoly.cli import main
 
@@ -35,6 +36,30 @@ def test_volume(capsys):
     code, out = run(capsys, "volume", "--lambda", "3,1", "--nu", "4,2,2")
     assert code == 0
     assert out.count("8") >= 2
+
+
+def test_volume_at_scale(capsys):
+    # 4116 excited diagrams; e(P) pinned from the ideal-lattice chain count.
+    code, out = run(capsys, "volume", "--nu", "8,8,8,8,8,8", "--lambda", "4,4,4")
+    assert code == 0
+    assert out == ("normalized volume by linear extensions: 214331629762111680\n"
+                   "normalized volume by hook-length formula: 214331629762111680\n")
+
+
+def test_volume_reports_non_integral_hook_sum(capsys, monkeypatch):
+    true_hooks = pasmpoly.hooklength.hooks
+
+    def perturbed(nu):
+        table = true_hooks(nu)
+        table[(1, 1)] += 1
+        return table
+
+    monkeypatch.setattr(pasmpoly.hooklength, "hooks", perturbed)
+    code = main(["volume", "--nu", "2,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: hook sum produced non-integer")
 
 
 def test_dim(capsys):
@@ -166,6 +191,15 @@ def test_certify_rejects_tmax_zero(capsys):
     code, out = run(capsys, "ehrhart", "--nu", "4,2,2", "--lambda", "3,1", "--tmax", "0")
     assert code == 0
     assert out.startswith("L(0) = 1\n")
+
+
+def test_certify_guardrail_is_a_resource_limit(capsys):
+    code = main(["certify", "--nu", "3,3,3", "--tmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "guardrail" in captured.err
+    assert "|nu/lam| = 9" in captured.err
 
 
 def test_dot_format_only_for_drawing_subcommands(capsys):

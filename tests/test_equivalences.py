@@ -199,6 +199,17 @@ def test_certificate_trivial_and_segment():
     assert certificate_passes(report)
 
 
+def test_certificate_requires_a_dilate():
+    poly = example_polytope()
+    for t_max in (0, -1):
+        with pytest.raises(ValueError):
+            certify_integral_equivalence(poly, t_max)
+    report = certify_integral_equivalence(poly, 1)
+    assert certificate_passes(report)
+    report["dilate_counts"] = []
+    assert not certificate_passes(report)
+
+
 def test_certificate_sweep():
     for shape in all_skew_shapes(5, max_skew_size=5):
         assert certificate_passes(certify_integral_equivalence(PasmPolytope(shape), 2)), shape

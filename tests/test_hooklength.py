@@ -1,7 +1,10 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
+import pasmpoly.hooklength
 from pasmpoly import (
     Partition,
     SkewShape,
@@ -11,9 +14,62 @@ from pasmpoly import (
     hooks,
     naruse_count,
 )
-from pasmpoly.shapes import enumerate_between, partitions_of_size_at_most
+from pasmpoly.shapes import contains, enumerate_between, partitions_of_size_at_most
 
 from families import all_skew_shapes
+
+
+def oracle_excited_diagrams(nu, lam):
+    """Breadth-first search over frozensets of cells, deduplicated; sorted by
+    the sorted cell lists."""
+    if not contains(lam, nu):
+        raise ValueError(f"{lam!r} is not contained in {nu!r}")
+    ambient = nu.diagram()
+    start = frozenset(lam.diagram())
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for diag in frontier:
+            for (i, j) in diag:
+                if (
+                    (i, j + 1) not in diag
+                    and (i + 1, j) not in diag
+                    and (i + 1, j + 1) not in diag
+                    and (i + 1, j + 1) in ambient
+                ):
+                    moved = (diag - {(i, j)}) | {(i + 1, j + 1)}
+                    if moved not in seen:
+                        seen.add(moved)
+                        nxt.append(moved)
+        frontier = nxt
+    return sorted(seen, key=lambda d: sorted(d))
+
+
+def oracle_naruse_count(nu, lam):
+    """|nu/lam|! * sum over excited diagrams D of prod over cells of nu not in
+    D of 1/h(cell), in Fraction arithmetic."""
+    h = hooks(nu)
+    ambient = nu.diagram()
+    total = Fraction(0)
+    for diag in oracle_excited_diagrams(nu, lam):
+        prod = Fraction(1)
+        for cell in ambient - diag:
+            prod /= h[cell]
+        total += prod
+    result = factorial(nu.size - lam.size) * total
+    assert result.denominator == 1
+    return int(result)
+
+
+@st.composite
+def skew_shapes_in_box(draw, rows=5, cols=5):
+    """A pair (nu, lam) with lam contained in nu, both in a rows x cols box."""
+    nu = sorted(draw(st.lists(st.integers(0, cols), min_size=rows, max_size=rows)), reverse=True)
+    lam = []
+    for part in nu:
+        lam.append(draw(st.integers(0, min(part, lam[-1] if lam else part))))
+    return Partition([p for p in nu if p]), Partition([p for p in lam if p])
 
 
 def test_hooks_examples():
@@ -86,3 +142,37 @@ def test_naruse_equals_linear_extensions_sweep():
         for lam in enumerate_between(Partition(), nu):
             e = count_linear_extensions(build_poset(SkewShape(nu, lam)))
             assert naruse_count(nu, lam) == e, (nu, lam)
+
+
+@given(skew_shapes_in_box())
+def test_hook_sum_matches_oracles_in_five_by_five_box(shape):
+    nu, lam = shape
+    assert excited_diagrams(nu, lam) == oracle_excited_diagrams(nu, lam)
+    e = naruse_count(nu, lam)
+    assert e == oracle_naruse_count(nu, lam)
+    assert e == count_linear_extensions(build_poset(SkewShape(nu, lam)))
+
+
+def test_excited_diagrams_match_oracle_sweep():
+    for shape in all_skew_shapes(6):
+        assert excited_diagrams(shape.nu, shape.lam) == oracle_excited_diagrams(shape.nu, shape.lam)
+
+
+def test_naruse_count_rejects_non_nested():
+    with pytest.raises(ValueError):
+        naruse_count(Partition([1]), Partition([2]))
+
+
+def test_naruse_count_integrality_check(monkeypatch):
+    # With h(1,1) of (2,1) raised from 3 to 4 the sum is 3! / (4 * 1 * 1),
+    # not an integer; the check must refuse it rather than round.
+    true_hooks = hooks
+
+    def perturbed(nu):
+        table = true_hooks(nu)
+        table[(1, 1)] += 1
+        return table
+
+    monkeypatch.setattr(pasmpoly.hooklength, "hooks", perturbed)
+    with pytest.raises(ArithmeticError):
+        naruse_count(Partition([2, 1]), Partition())

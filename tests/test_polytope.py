@@ -7,6 +7,7 @@ from pasmpoly import (
     Matrix,
     Partition,
     PasmPolytope,
+    ResourceLimit,
     SkewShape,
     build_poset,
     count_linear_extensions,
@@ -101,6 +102,24 @@ def test_integer_points_guardrail():
     big = PasmPolytope(SkewShape(Partition([9]), Partition(), 2, 10))
     with pytest.raises(ValueError):
         big.integer_points_brute()
+
+
+def test_guardrails_raise_resource_limit():
+    assert issubclass(ResourceLimit, ValueError)
+    brute = PasmPolytope(SkewShape(Partition([9]), Partition(), 2, 10))
+    with pytest.raises(ResourceLimit, match="20 free cells, limit 16"):
+        brute.integer_points_brute()
+    big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
+    for scan in (big.dilate_lattice_points, big.dilate_integer_points):
+        with pytest.raises(ResourceLimit, match=r"guardrail.*\|nu/lam\| = 9, t = 1"):
+            scan(1)
+    for scan in (example_polytope().dilate_lattice_points, example_polytope().dilate_integer_points):
+        with pytest.raises(ResourceLimit, match="t = 5"):
+            scan(5)
+        # A negative factor is bad input, not a resource limit.
+        with pytest.raises(ValueError) as info:
+            scan(-1)
+        assert not isinstance(info.value, ResourceLimit)
 
 
 def test_dimension_examples():
