@@ -13,7 +13,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .matrices import Matrix, Scalar, corner_sums, inverse_corner_sums, convex_combination
+from .matrices import (
+    Matrix,
+    Scalar,
+    _corner_rows,
+    convex_combination,
+    corner_sums,
+    inverse_corner_sums,
+)
 from .polytope import PasmPolytope
 from .shapes import Cell
 from .skewposet import (
@@ -78,12 +85,6 @@ def complete_to_asm(M: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-def _scaled_order_point(X: Matrix, poly: PasmPolytope) -> dict[Cell, Scalar]:
-    """Corner sums on skew cells without membership checks (for dilates)."""
-    C = corner_sums(X)
-    return {(i, j): C.entry(i, j) for (i, j) in poly.shape.cells()}
-
-
 def _random_polytope_point(poly: PasmPolytope, rng: random.Random) -> Matrix:
     verts = poly.vertices()
     raw = [rng.randrange(0, 10) for _ in verts]
@@ -136,12 +137,13 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int, seed: int = 0) 
     for k in range(d):
         if T[k][k] != 1 or any(T[k][l] != 0 for l in range(k + 1, d)):
             return fail("affine_unimodular", {"row": list(cells[k])})
-    samples = poly.vertices()
-    for _ in range(5):
-        samples.append(_random_polytope_point(poly, rng))
-    for X in samples:
+    verts = poly.vertices()
+    vertex_images = [to_order_point(V, poly) for V in verts]
+    samples = [_random_polytope_point(poly, rng) for _ in range(5)]
+    pairs = list(zip(verts, vertex_images))
+    pairs += [(X, to_order_point(X, poly)) for X in samples]
+    for X, g in pairs:
         z = [X.entry(i, j) for (i, j) in cells]
-        g = to_order_point(X, poly)
         for k, c in enumerate(cells):
             predicted = sum(T[k][l] * z[l] for l in range(d))
             if g[c] != predicted:
@@ -151,10 +153,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int, seed: int = 0) 
                 )
 
     # Vertices correspond to filter indicators, bijectively.
-    images = []
-    for V in poly.vertices():
-        g = to_order_point(V, poly)
-        images.append(tuple(g[c] for c in cells))
+    images = [tuple(g[c] for c in cells) for g in vertex_images]
     filters = enumerate_filters(P)
     indicator_set = {
         tuple(filter_indicator(P, f)[c] for c in cells) for f in filters
@@ -163,21 +162,25 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int, seed: int = 0) 
         return fail("vertex_bijection", {"images": sorted(set(images))})
 
     # Lattice points of dilates correspond to order-preserving maps into
-    # {0, ..., t}, bijectively.
+    # {0, ..., t}, bijectively.  The scan's points are streamed as int rows
+    # and only their corner sums on the skew cells are kept.
+    index = [(i - 1, j - 1) for (i, j) in cells]
     for t in range(1, t_max + 1):
-        points = poly.dilate_integer_points(t)
+        poly._check_dilate(t)
         mapped = set()
-        for X in points:
-            g = _scaled_order_point(X, poly)
-            vals = tuple(g[c] for c in cells)
+        lhs = 0
+        for rows in poly._scan_rows(t):
+            lhs += 1
+            C = _corner_rows(rows)
+            vals = tuple(C[i][j] for i, j in index)
             if any(not isinstance(v, int) or v < 0 or v > t for v in vals):
-                return fail("vertex_bijection", {"dilate": t, "point": X.to_json_dict()})
+                return fail("vertex_bijection", {"dilate": t, "point": Matrix(rows).to_json_dict()})
             mapped.add(vals)
         maps = {
             tuple(v - 1 for v in vals)
             for vals in enumerate_order_preserving_maps(P, t + 1)
         }
-        lhs, rhs = len(points), len(maps)
+        rhs = len(maps)
         report["dilate_counts"].append([t, lhs, rhs])
         if len(mapped) != lhs or mapped != maps:
             return fail("vertex_bijection", {"dilate": t})

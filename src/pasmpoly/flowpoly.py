@@ -342,31 +342,47 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def count_integer_flows(G: FlowGraph, t: int) -> int:
     """Number of nonnegative integer flows of size t (lattice points of the
-    t-th dilate of the flow polytope)."""
+    t-th dilate of the flow polytope).
+
+    Vertices are settled in topological order, each sending its whole supply
+    out along its edges.  The count from a position on depends only on the
+    supplies of the vertices at or after it (those before are never read
+    again), so it is memoized on that suffix.
+    """
     if t < 0:
         raise ValueError("flow size must be nonnegative")
     order = G.topological_order()
-    out_lists = [G.out_edges(v) for v in range(G.num_vertices)]
-    supply = [0] * G.num_vertices
-    supply[G.source] = t
+    pos = {v: p for p, v in enumerate(order)}
+    # For each position, the positions its out-edges lead to, or None at the sink.
+    heads = [
+        None if v == G.sink else [pos[G.edges[k].head] for k in G.out_edges(v)]
+        for v in order
+    ]
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def rec(pos: int) -> int:
-        if pos == len(order):
+    def rec(p: int, supplies: tuple[int, ...]) -> int:
+        # supplies[0] is the supply of order[p], supplies[k] that of order[p + k].
+        if p == len(order):
             return 1
-        v = order[pos]
-        if v == G.sink:
-            return rec(pos + 1)
-        total = 0
-        outs = out_lists[v]
-        for combo in _compositions(supply[v], len(outs)):
-            for k, val in zip(outs, combo):
-                supply[G.edges[k].head] += val
-            total += rec(pos + 1)
-            for k, val in zip(outs, combo):
-                supply[G.edges[k].head] -= val
+        key = (p, supplies)
+        if key in memo:
+            return memo[key]
+        rest = supplies[1:]
+        if heads[p] is None:
+            total = rec(p + 1, rest)
+        else:
+            total = 0
+            for combo in _compositions(supplies[0], len(heads[p])):
+                nxt = list(rest)
+                for h, val in zip(heads[p], combo):
+                    nxt[h - p - 1] += val
+                total += rec(p + 1, tuple(nxt))
+        memo[key] = total
         return total
 
-    return rec(0)
+    supply = [0] * G.num_vertices
+    supply[pos[G.source]] = t
+    return rec(0, tuple(supply))
 
 
 def flow_to_json(fl: Mapping[int, Scalar]) -> dict[str, str]:

@@ -7,6 +7,9 @@ Indexing is 1-based with row index increasing downward.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .shapes import Partition
@@ -148,15 +151,19 @@ def vertex_matrix(mu: Partition, m: int, n: int) -> Matrix:
     return Matrix(rows)
 
 
+def _corner_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+    """Northwest corner sums of a grid given as rows, as a tuple of rows."""
+    out = []
+    above = (0,) * len(rows[0])
+    for row in rows:
+        above = tuple(map(add, accumulate(row), above))
+        out.append(above)
+    return tuple(out)
+
+
 def corner_sums(M: Matrix) -> Matrix:
     """Northwest corner sums: entry (i,j) is the sum over rows <= i, cols <= j."""
-    out = [[0] * M.n for _ in range(M.m)]
-    for i in range(M.m):
-        rowsum = 0
-        for j in range(M.n):
-            rowsum += M.rows[i][j]
-            out[i][j] = rowsum + (out[i - 1][j] if i > 0 else 0)
-    return Matrix(out)
+    return Matrix(_corner_rows(M.rows))
 
 
 def inverse_corner_sums(C: Matrix) -> Matrix:
@@ -173,7 +180,11 @@ def inverse_corner_sums(C: Matrix) -> Matrix:
 
 
 def convex_combination(weights: Sequence[Scalar], mats: Sequence[Matrix]) -> Matrix:
-    """Weighted sum of matrices; weights should be nonnegative and sum to 1."""
+    """Weighted sum of matrices; weights should be nonnegative and sum to 1.
+
+    The weights are put over one common denominator D, so each entry is
+    one integer-weighted sum of the entries divided once by D.
+    """
     if len(weights) != len(mats) or not mats:
         raise ValueError("need one weight per matrix")
     if sum(weights) != 1:
@@ -181,8 +192,12 @@ def convex_combination(weights: Sequence[Scalar], mats: Sequence[Matrix]) -> Mat
     m, n = mats[0].m, mats[0].n
     if any(M.m != m or M.n != n for M in mats):
         raise ValueError("mixed dimensions")
-    rows = [
-        [sum(Fraction(w) * M.rows[i][j] for w, M in zip(weights, mats)) for j in range(n)]
-        for i in range(m)
-    ]
-    return Matrix([[_exact(Fraction(x)) for x in row] for row in rows])
+    fracs = [Fraction(w) for w in weights]
+    D = lcm(*(w.denominator for w in fracs))
+    nums = [w.numerator * (D // w.denominator) for w in fracs]
+    return Matrix(
+        [
+            [Fraction(sum(c * M.rows[i][j] for c, M in zip(nums, mats)), D) for j in range(n)]
+            for i in range(m)
+        ]
+    )

@@ -12,6 +12,12 @@ throughout the test suite, is:
 
 The t-th dilate scales only the inhomogeneous bounds: partial sums in
 [0, t], first row/column sums t.
+
+Integer points of a dilate are scanned row by row (the transfer-matrix
+method): the state before a row is the vector of column partial sums so
+far, the feasible rows out of each (row, state) pair and their next states
+are computed once and memoized, and the walk over them yields every point
+as a tuple of int rows, in row-major lexicographic order.
 """
 
 from __future__ import annotations
@@ -40,11 +46,12 @@ class DilateCount(NamedTuple):
 class PasmPolytope:
     """H- and V-descriptions of the polytope for one skew shape."""
 
-    __slots__ = ("shape", "_vertices")
+    __slots__ = ("shape", "_vertices", "_zeros")
 
     def __init__(self, shape: SkewShape):
         self.shape = shape
         self._vertices: list[Matrix] | None = None
+        self._zeros: frozenset[Cell] | None = None
 
     @property
     def m(self) -> int:
@@ -56,15 +63,17 @@ class PasmPolytope:
 
     def fixed_zero_cells(self) -> frozenset[Cell]:
         """Cells forced to zero by the lam region and the strip shadow."""
-        lam, nu = self.shape.lam, self.shape.nu
-        zeros = set()
-        for i in range(1, self.m + 1):
-            for j in range(1, lam.part(i) + 1):
-                zeros.add((i, j))
-            east = nu.part(1) + 1 if i == 1 else nu.part(i - 1) + 1
-            for j in range(east + 1, self.n + 1):
-                zeros.add((i, j))
-        return frozenset(zeros)
+        if self._zeros is None:
+            lam, nu = self.shape.lam, self.shape.nu
+            zeros = set()
+            for i in range(1, self.m + 1):
+                for j in range(1, lam.part(i) + 1):
+                    zeros.add((i, j))
+                east = nu.part(1) + 1 if i == 1 else nu.part(i - 1) + 1
+                for j in range(east + 1, self.n + 1):
+                    zeros.add((i, j))
+            self._zeros = frozenset(zeros)
+        return self._zeros
 
     def free_cells(self) -> tuple[Cell, ...]:
         zeros = self.fixed_zero_cells()
@@ -106,73 +115,88 @@ class PasmPolytope:
             ]
         return list(self._vertices)
 
-    def _scan_integer_points(self, t: int) -> Iterator[Matrix]:
-        """All integer matrices of the t-dilate, by row-major backtracking.
+    def _scan_rows(self, t: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """All integer points of the t-dilate, each a tuple of int row tuples,
+        in lexicographic (row-major) order.
 
         Row/column partial sums are kept in [0, t]; row targets are t for
         row 1 and 0 otherwise, column targets t for column 1 and 0 otherwise.
+        The state before row i is the vector of column partial sums of rows
+        < i.  For each (i, state) the feasible rows i and their next states
+        are computed once and memoized, so the walk descends one row, not
+        one cell, at a time.
         """
         m, n = self.m, self.n
         zeros = self.fixed_zero_cells()
-        free_in_row_after = [[0] * (n + 2) for _ in range(m + 1)]
-        for i in range(1, m + 1):
-            for j in range(n, 0, -1):
-                free_in_row_after[i][j] = free_in_row_after[i][j + 1] + (
-                    (i, j) not in zeros
-                )
-        last_free_row = [0] * (n + 1)
-        for j in range(1, n + 1):
-            for i in range(1, m + 1):
-                if (i, j) not in zeros:
-                    last_free_row[j] = i
-
-        grid = [[0] * (n + 1) for _ in range(m + 1)]
-        col_sum = [0] * (n + 1)
-
-        def row_target(i: int) -> int:
-            return t if i == 1 else 0
-
-        def col_target(j: int) -> int:
-            return t if j == 1 else 0
-
-        def rec(i: int, j: int, row_sum: int) -> Iterator[Matrix]:
-            if j > n:
-                if row_sum != row_target(i):
-                    return
-                if i == m:
-                    yield Matrix([row[1:] for row in grid[1:]])
-                else:
-                    yield from rec(i + 1, 1, 0)
-                return
-            if (i, j) in zeros:
-                choices = (0,)
-            else:
-                lo = max(-row_sum, -col_sum[j])
-                hi = min(t - row_sum, t - col_sum[j])
-                choices = range(lo, hi + 1)
-            remaining = free_in_row_after[i][j + 1]
-            for x in choices:
-                new_row = row_sum + x
-                # The rest of the row can move the partial sum by at most t
-                # per free cell (and not at all if none remain).
-                if abs(row_target(i) - new_row) > remaining * t:
-                    continue
-                new_col = col_sum[j] + x
-                # Once the last free cell of a column is placed, its partial
-                # sum must already equal the column target.
-                if i >= last_free_row[j] and new_col != col_target(j):
-                    continue
-                grid[i][j] = x
-                col_sum[j] = new_col
-                yield from rec(i, j + 1, new_row)
-                col_sum[j] = col_sum[j] - x
-                grid[i][j] = 0
+        free = [[(i, j) not in zeros for j in range(1, n + 1)] for i in range(1, m + 1)]
+        # free_after[i][j]: free cells of row i at column j or later (0-based).
+        free_after = [[0] * (n + 1) for _ in range(m)]
+        for i in range(m):
+            for j in range(n - 1, -1, -1):
+                free_after[i][j] = free_after[i][j + 1] + free[i][j]
+        last_free_row = [0] * n
+        for j in range(n):
+            for i in range(m):
+                if free[i][j]:
+                    last_free_row[j] = i + 1
+        col_target = [t] + [0] * (n - 1)
 
         # A column with no free cell at all can never reach a nonzero target.
-        for j in range(1, n + 1):
-            if last_free_row[j] == 0 and col_target(j) != 0:
-                return
-        yield from rec(1, 1, 0)
+        if any(last_free_row[j] == 0 and col_target[j] != 0 for j in range(n)):
+            return
+
+        def feasible_rows(i: int, cols: tuple[int, ...]) -> list:
+            """Rows i (0-based) that extend a point whose column partial sums are
+            cols, in lexicographic order, each with its next state."""
+            row_target = t if i == 0 else 0
+            closes = [i + 1 >= last_free_row[j] for j in range(n)]
+            row = [0] * n
+            out = []
+
+            def rec(j: int, row_sum: int) -> None:
+                if j == n:
+                    if row_sum == row_target:
+                        out.append((tuple(row), tuple(c + x for c, x in zip(cols, row))))
+                    return
+                c = cols[j]
+                if free[i][j]:
+                    choices = range(max(-row_sum, -c), min(t - row_sum, t - c) + 1)
+                else:
+                    choices = (0,)
+                for x in choices:
+                    new_row = row_sum + x
+                    # The rest of the row can move the partial sum by at most
+                    # t per free cell (and not at all if none remain).
+                    if abs(row_target - new_row) > free_after[i][j + 1] * t:
+                        continue
+                    # Once the last free cell of a column is placed, its
+                    # partial sum must already equal the column target.
+                    if closes[j] and c + x != col_target[j]:
+                        continue
+                    row[j] = x
+                    rec(j + 1, new_row)
+                row[j] = 0
+
+            rec(0, 0)
+            return out
+
+        transitions: dict[tuple[int, tuple[int, ...]], list] = {}
+
+        def step(i: int, cols: tuple[int, ...]) -> list:
+            key = (i, cols)
+            rows = transitions.get(key)
+            if rows is None:
+                rows = transitions[key] = feasible_rows(i, cols)
+            return rows
+
+        def walk(i: int, cols: tuple[int, ...], prefix: tuple) -> Iterator:
+            for row, after in step(i, cols):
+                if i == m - 1:
+                    yield prefix + (row,)
+                else:
+                    yield from walk(i + 1, after, prefix + (row,))
+
+        yield from walk(0, (0,) * n, ())
 
     def integer_points_brute(self) -> list[Matrix]:
         """Exhaustive integer scan of the inequality system at t = 1.
@@ -186,7 +210,7 @@ class PasmPolytope:
                 f"brute scan guardrail exceeded: {free} free cells, "
                 f"limit {BRUTE_FREE_CELL_LIMIT}"
             )
-        return list(self._scan_integer_points(1))
+        return [Matrix(rows) for rows in self._scan_rows(1)]
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation."""
@@ -204,13 +228,13 @@ class PasmPolytope:
     def dilate_lattice_points(self, t: int) -> DilateCount:
         """Number of integer matrices in the t-th dilate, by direct scan."""
         self._check_dilate(t)
-        count = sum(1 for _ in self._scan_integer_points(t))
+        count = sum(1 for _ in self._scan_rows(t))
         return DilateCount(t, count)
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""
         self._check_dilate(t)
-        return list(self._scan_integer_points(t))
+        return [Matrix(rows) for rows in self._scan_rows(t)]
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"

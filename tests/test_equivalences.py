@@ -7,6 +7,7 @@ from pasmpoly import (
     Matrix,
     Partition,
     PasmPolytope,
+    ResourceLimit,
     SkewShape,
     build_poset,
     certify_integral_equivalence,
@@ -213,3 +214,54 @@ def test_certificate_requires_a_dilate():
 def test_certificate_sweep():
     for shape in all_skew_shapes(5, max_skew_size=5):
         assert certificate_passes(certify_integral_equivalence(PasmPolytope(shape), 2)), shape
+
+
+def _scan_with(monkeypatch, corrupt):
+    """Replace the private row scan by corrupt(points, t, poly) of its output."""
+    real = PasmPolytope._scan_rows
+
+    def scan(self, t):
+        yield from corrupt(list(real(self, t)), t, self)
+
+    monkeypatch.setattr(PasmPolytope, "_scan_rows", scan)
+
+
+def test_certificate_catches_a_dropped_point(monkeypatch):
+    _scan_with(monkeypatch, lambda points, t, poly: points[1:])
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["dilate_counts"] == [[1, 9, 10]]
+    assert report["vertex_bijection"] is False
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
+def test_certificate_catches_a_repeated_point(monkeypatch):
+    _scan_with(monkeypatch, lambda points, t, poly: points + points[-1:])
+    report = certify_integral_equivalence(example_polytope(), 2)
+    # The set of images is still right; only the count shows the repeat.
+    assert report["dilate_counts"] == [[1, 11, 10]]
+    assert report["vertex_bijection"] is False
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
+def test_certificate_catches_a_corner_sum_out_of_range(monkeypatch):
+    def inject(points, t, poly):
+        # A first row of t + 1s puts every corner sum of row 1 above t.
+        return [((t + 1,) * poly.n,) + points[0][1:]] + points[1:]
+
+    _scan_with(monkeypatch, inject)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert report["counterexample"]["dilate"] == 1
+    assert report["counterexample"]["point"]["entries"][0] == [2] * 5
+    assert not certificate_passes(report)
+
+
+def test_certificate_keeps_the_dilate_guardrail():
+    big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
+    with pytest.raises(ResourceLimit, match=r"\|nu/lam\| = 9, t = 1"):
+        certify_integral_equivalence(big, 1)
+    with pytest.raises(ResourceLimit, match="t = 5"):
+        certify_integral_equivalence(example_polytope(), 5)

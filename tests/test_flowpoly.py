@@ -18,7 +18,7 @@ from pasmpoly import (
     planar_hasse,
     truncated_dual,
 )
-from pasmpoly.flowpoly import FlowGraph, flow_to_json
+from pasmpoly.flowpoly import FlowGraph, _compositions, flow_to_json
 from pasmpoly.skewposet import SkewPoset, filter_indicator
 
 from families import all_skew_shapes
@@ -27,6 +27,36 @@ from golden import ORDER_POINT_422_31
 F = Fraction
 
 EXAMPLE = SkewShape(Partition([4, 2, 2]), Partition([3, 1]), 4, 5)
+
+
+# The recursion that the memoized count replaced, kept as its oracle.
+def _count_integer_flows_unmemoized(G: FlowGraph, t: int) -> int:
+    """Number of nonnegative integer flows of size t (lattice points of the
+    t-th dilate of the flow polytope)."""
+    if t < 0:
+        raise ValueError("flow size must be nonnegative")
+    order = G.topological_order()
+    out_lists = [G.out_edges(v) for v in range(G.num_vertices)]
+    supply = [0] * G.num_vertices
+    supply[G.source] = t
+
+    def rec(pos: int) -> int:
+        if pos == len(order):
+            return 1
+        v = order[pos]
+        if v == G.sink:
+            return rec(pos + 1)
+        total = 0
+        outs = out_lists[v]
+        for combo in _compositions(supply[v], len(outs)):
+            for k, val in zip(outs, combo):
+                supply[G.edges[k].head] += val
+            total += rec(pos + 1)
+            for k, val in zip(outs, combo):
+                supply[G.edges[k].head] -= val
+        return total
+
+    return rec(0)
 
 
 def single_element_poset():
@@ -195,6 +225,16 @@ def test_integer_flow_counts_match_order_polynomial():
         G = build_flow_graph(P)
         for t in (0, 1, 2):
             assert count_integer_flows(G, t) == order_polynomial_value(P, t + 1), (shape, t)
+
+
+def test_memoized_flow_count_matches_oracle():
+    for shape in all_skew_shapes(5, max_skew_size=6):
+        P = build_poset(shape)
+        G = build_flow_graph(P)
+        for t in range(5):
+            count = count_integer_flows(G, t)
+            assert count == _count_integer_flows_unmemoized(G, t), (shape, t)
+            assert count == order_polynomial_value(P, t + 1), (shape, t)
 
 
 def test_count_integer_flows_validates():

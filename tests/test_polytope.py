@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pasmpoly import (
     Matrix,
@@ -17,6 +19,7 @@ from pasmpoly import (
     vertex_matrix,
 )
 from pasmpoly.matrices import convex_combination
+from pasmpoly.polytope import DILATE_SIZE_LIMIT
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
@@ -28,6 +31,77 @@ EXAMPLE = SkewShape(Partition([4, 2, 2]), Partition([3, 1]), 4, 5)
 
 def example_polytope():
     return PasmPolytope(EXAMPLE)
+
+
+# The cell-by-cell scan that the row-memoized scan replaced, kept as the
+# oracle it must match point for point and in order.
+def _scan_integer_points(poly: PasmPolytope, t: int) -> Iterator[Matrix]:
+    """All integer matrices of the t-dilate, by row-major backtracking.
+
+    Row/column partial sums are kept in [0, t]; row targets are t for
+    row 1 and 0 otherwise, column targets t for column 1 and 0 otherwise.
+    """
+    m, n = poly.m, poly.n
+    zeros = poly.fixed_zero_cells()
+    free_in_row_after = [[0] * (n + 2) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(n, 0, -1):
+            free_in_row_after[i][j] = free_in_row_after[i][j + 1] + (
+                (i, j) not in zeros
+            )
+    last_free_row = [0] * (n + 1)
+    for j in range(1, n + 1):
+        for i in range(1, m + 1):
+            if (i, j) not in zeros:
+                last_free_row[j] = i
+
+    grid = [[0] * (n + 1) for _ in range(m + 1)]
+    col_sum = [0] * (n + 1)
+
+    def row_target(i: int) -> int:
+        return t if i == 1 else 0
+
+    def col_target(j: int) -> int:
+        return t if j == 1 else 0
+
+    def rec(i: int, j: int, row_sum: int) -> Iterator[Matrix]:
+        if j > n:
+            if row_sum != row_target(i):
+                return
+            if i == m:
+                yield Matrix([row[1:] for row in grid[1:]])
+            else:
+                yield from rec(i + 1, 1, 0)
+            return
+        if (i, j) in zeros:
+            choices = (0,)
+        else:
+            lo = max(-row_sum, -col_sum[j])
+            hi = min(t - row_sum, t - col_sum[j])
+            choices = range(lo, hi + 1)
+        remaining = free_in_row_after[i][j + 1]
+        for x in choices:
+            new_row = row_sum + x
+            # The rest of the row can move the partial sum by at most t
+            # per free cell (and not at all if none remain).
+            if abs(row_target(i) - new_row) > remaining * t:
+                continue
+            new_col = col_sum[j] + x
+            # Once the last free cell of a column is placed, its partial
+            # sum must already equal the column target.
+            if i >= last_free_row[j] and new_col != col_target(j):
+                continue
+            grid[i][j] = x
+            col_sum[j] = new_col
+            yield from rec(i, j + 1, new_row)
+            col_sum[j] = col_sum[j] - x
+            grid[i][j] = 0
+
+    # A column with no free cell at all can never reach a nonzero target.
+    for j in range(1, n + 1):
+        if last_free_row[j] == 0 and col_target(j) != 0:
+            return
+    yield from rec(1, 1, 0)
 
 
 def test_satisfies_inequalities_on_vertices():
@@ -89,6 +163,38 @@ def test_integer_points_brute_examples():
     assert fixed.integer_points_brute() == [Matrix([[0, 1], [1, -1]])]
     point = PasmPolytope(SkewShape(Partition(), Partition(), 1, 1))
     assert point.integer_points_brute() == [Matrix([[1]])]
+
+
+def test_scan_matches_cell_by_cell_oracle_sweep():
+    for shape in all_skew_shapes(7):
+        if shape.size > 8:
+            continue
+        poly = PasmPolytope(shape)
+        for t in range(4):
+            assert poly.dilate_integer_points(t) == list(_scan_integer_points(poly, t)), (shape, t)
+
+
+@st.composite
+def boxed_skew_shapes(draw, rows=4, cols=5):
+    """A skew shape in an m x n box, m <= rows, n <= cols, within the dilate
+    scan's guardrail of 8 cells."""
+    m = draw(st.integers(1, rows))
+    n = draw(st.integers(1, cols))
+    nu = sorted(draw(st.lists(st.integers(0, n - 1), min_size=m - 1, max_size=m - 1)), reverse=True)
+    # Sorting a pointwise-smaller sequence keeps it inside nu.
+    lam = sorted((draw(st.integers(0, part)) for part in nu), reverse=True)
+    assume(sum(nu) - sum(lam) <= DILATE_SIZE_LIMIT)
+    return SkewShape(Partition(nu), Partition(lam), m, n)
+
+
+@given(boxed_skew_shapes(), st.integers(0, 3))
+def test_scan_matches_cell_by_cell_oracle_boxed(shape, t):
+    poly = PasmPolytope(shape)
+    oracle = list(_scan_integer_points(poly, t))
+    assert poly.dilate_integer_points(t) == oracle
+    assert poly.dilate_lattice_points(t).count == len(oracle)
+    if t == 1:
+        assert poly.integer_points_brute() == oracle
 
 
 def test_integer_points_equal_vertices_sweep():
