@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .matrices import Matrix, column_partial_sums, is_partial_asm, row_partial_sums
 from .polytope import PasmPolytope
-from .shapes import Partition, enumerate_between
+from .shapes import Partition
 
 Edge = tuple[str, int, int]
 Labeling = dict[Edge, frozenset[int]]
@@ -86,13 +86,17 @@ def face_labeling(poly: PasmPolytope) -> Labeling:
 
     Edges in the union of the outlines of all partitions between lam and nu,
     minus the common outline edges of lam and nu, get {0,1}; the common
-    edges get {1}; everything else gets {0}.
+    edges get {1}; everything else gets {0}.  As mu_i runs over
+    [lam_i, nu_i], that union is ("V", i, j) for lam_i < j <= nu_i + 1 and
+    ("H", i, j) for lam_i < j <= nu_{i-1} (with nu_0 = n).
     """
     m, n = poly.m, poly.n
     lam, nu = poly.shape.lam, poly.shape.nu
     union: set[Edge] = set()
-    for mu in enumerate_between(lam, nu):
-        union |= outline_edges(mu, m, n)
+    for i in range(1, m + 1):
+        upper = n if i == 1 else nu.part(i - 1)
+        union.update(("V", i, j) for j in range(lam.part(i) + 1, nu.part(i) + 2))
+        union.update(("H", i, j) for j in range(lam.part(i) + 1, upper + 1))
     shared = outline_edges(lam, m, n) & outline_edges(nu, m, n)
     lab: Labeling = {}
     for edge in grid_edges(m, n):

@@ -3,7 +3,14 @@ from fractions import Fraction
 from math import factorial
 
 import pasmpoly.hooklength
-from pasmpoly import Matrix, Partition, SkewShape, build_poset, count_linear_extensions
+from pasmpoly import (
+    Matrix,
+    Partition,
+    PasmPolytope,
+    SkewShape,
+    build_poset,
+    count_linear_extensions,
+)
 from pasmpoly.cli import main
 
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
@@ -200,6 +207,20 @@ def test_certify_guardrail_is_a_resource_limit(capsys):
     assert captured.out == ""
     assert "guardrail" in captured.err
     assert "|nu/lam| = 9" in captured.err
+
+
+def test_certify_vertex_outside_h_description_is_a_failure(capsys, monkeypatch):
+    # One more fixed zero at (2, nu_1 + 1) cuts off a vertex: that is a
+    # certificate failure (exit 1), not a usage error.
+    real = PasmPolytope.fixed_zero_cells
+    monkeypatch.setattr(PasmPolytope, "fixed_zero_cells",
+                        lambda self: real(self) | {(2, 5)})
+    code = main(["certify", "--nu", "4,2,2", "--lambda", "3,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.startswith("affine_unimodular: False\n")
+    assert captured.out.endswith("result: FAIL\n")
 
 
 def test_dot_format_only_for_drawing_subcommands(capsys):

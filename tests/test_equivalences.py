@@ -18,6 +18,7 @@ from pasmpoly import (
     is_asm,
     to_order_point,
 )
+from pasmpoly import equivalences
 from pasmpoly.equivalences import certificate_passes
 from pasmpoly.matrices import convex_combination
 from pasmpoly.skewposet import filter_indicator
@@ -265,3 +266,43 @@ def test_certificate_keeps_the_dilate_guardrail():
         certify_integral_equivalence(big, 1)
     with pytest.raises(ResourceLimit, match="t = 5"):
         certify_integral_equivalence(example_polytope(), 5)
+
+
+def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
+    real = PasmPolytope.fixed_zero_cells
+    monkeypatch.setattr(PasmPolytope, "fixed_zero_cells",
+                        lambda self: real(self) | {(2, 5)})
+    poly = example_polytope()
+    report = certify_integral_equivalence(poly, 2)
+    assert report["affine_unimodular"] is False
+    assert report["dilate_counts"] == []
+    V = Matrix.from_json_dict(report["counterexample"]["vertex"])
+    assert V in poly.vertices()
+    assert V.entry(2, 5) != 0
+    assert not certificate_passes(report)
+
+
+def test_certificate_catches_a_wrong_inverse(monkeypatch):
+    real = equivalences.from_order_point
+
+    def perturbed(g, poly):
+        rows = [list(r) for r in real(g, poly).rows]
+        rows[-1][-1] += 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(equivalences, "from_order_point", perturbed)
+    poly = example_polytope()
+    report = certify_integral_equivalence(poly, 2)
+    assert report["affine_unimodular"] is False
+    assert report["counterexample"] == {"vertex": poly.vertices()[0].to_json_dict()}
+    assert not certificate_passes(report)
+
+
+def test_certificate_guardrail_comes_before_vertex_work(monkeypatch):
+    def refuse(self):
+        raise AssertionError("vertices enumerated before the guardrail")
+
+    monkeypatch.setattr(PasmPolytope, "vertices", refuse)
+    big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
+    with pytest.raises(ResourceLimit):
+        certify_integral_equivalence(big, 1)
