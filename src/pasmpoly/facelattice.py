@@ -148,14 +148,6 @@ def labeling_to_json(labeling: Labeling) -> dict[str, list[int]]:
     }
 
 
-def labeling_from_json(data: dict[str, list[int]]) -> Labeling:
-    out: Labeling = {}
-    for key, lab in data.items():
-        i, j, kind = key.split(",")
-        out[(kind, int(i), int(j))] = frozenset(int(x) for x in lab)
-    return out
-
-
 def labeling_to_dot(labeling: Labeling) -> str:
     """DOT rendering: {0,1} edges bold, {1} edges solid, {0} edges dotted."""
     styles = {

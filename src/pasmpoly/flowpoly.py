@@ -13,7 +13,6 @@ west of the right arc is the sink.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .matrices import Scalar
@@ -383,11 +382,3 @@ def count_integer_flows(G: FlowGraph, t: int) -> int:
     supply = [0] * G.num_vertices
     supply[pos[G.source]] = t
     return rec(0, tuple(supply))
-
-
-def flow_to_json(fl: Mapping[int, Scalar]) -> dict[str, str]:
-    out = {}
-    for k in sorted(fl):
-        v = Fraction(fl[k])
-        out[str(k)] = f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return out

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -175,29 +174,5 @@ def inverse_corner_sums(C: Matrix) -> Matrix:
         [
             [c(i, j) - c(i - 1, j) - c(i, j - 1) + c(i - 1, j - 1) for j in range(1, C.n + 1)]
             for i in range(1, C.m + 1)
-        ]
-    )
-
-
-def convex_combination(weights: Sequence[Scalar], mats: Sequence[Matrix]) -> Matrix:
-    """Weighted sum of matrices; weights should be nonnegative and sum to 1.
-
-    The weights are put over one common denominator D, so each entry is
-    one integer-weighted sum of the entries divided once by D.
-    """
-    if len(weights) != len(mats) or not mats:
-        raise ValueError("need one weight per matrix")
-    if sum(weights) != 1:
-        raise ValueError("weights must sum to 1")
-    m, n = mats[0].m, mats[0].n
-    if any(M.m != m or M.n != n for M in mats):
-        raise ValueError("mixed dimensions")
-    fracs = [Fraction(w) for w in weights]
-    D = lcm(*(w.denominator for w in fracs))
-    nums = [w.numerator * (D // w.denominator) for w in fracs]
-    return Matrix(
-        [
-            [Fraction(sum(c * M.rows[i][j] for c, M in zip(nums, mats)), D) for j in range(n)]
-            for i in range(m)
         ]
     )

@@ -259,30 +259,23 @@ class UniPoly:
 
 
 def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
-    """Unique interpolating polynomial through the given (t, value) samples."""
+    """Unique interpolating polynomial through the given (t, value) samples.
+
+    Newton's divided differences give the coefficients c_k of the Newton
+    form sum_k c_k (t - x_0)...(t - x_{k-1}); Horner's rule on that form
+    expands it into monomials.  Both take O(n^2) exact operations.
+    """
     xs = [Fraction(x) for x, _ in values]
-    ys = [Fraction(y) for _, y in values]
+    cs = [Fraction(y) for _, y in values]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    # Lagrange accumulation over exact rationals.
-    n = len(xs)
-    coeffs = [Fraction(0)] * max(n, 1)
-    for k in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for l in range(n):
-            if l == k:
-                continue
-            # multiply basis by (x - xs[l])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p] -= c * xs[l]
-                nxt[p + 1] += c
-            basis = nxt
-            denom *= xs[k] - xs[l]
-        scale = ys[k] / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
+    coeffs: list[Scalar] = []
+    for x, c in zip(reversed(xs), reversed(cs)):  # coeffs * (t - x) + c
+        coeffs = [a - x * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += c
     return UniPoly(coeffs)
 
 

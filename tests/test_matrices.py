@@ -12,12 +12,7 @@ from pasmpoly import (
     is_partial_asm,
     vertex_matrix,
 )
-from pasmpoly.matrices import (
-    _exact,
-    column_partial_sums,
-    convex_combination,
-    row_partial_sums,
-)
+from pasmpoly.matrices import column_partial_sums, row_partial_sums
 from pasmpoly.shapes import enumerate_between
 
 from golden import CORNER_SUMS_422_31, PROFILE_5331, RATIONAL_POINT_422_31
@@ -35,39 +30,6 @@ def rational_matrices(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
     rows = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=m, max_size=m))
     return Matrix(rows)
-
-
-# The Fraction product sum that the common-denominator version replaced,
-# kept as its oracle.
-def _convex_combination_fraction(weights, mats) -> Matrix:
-    """Weighted sum of matrices; weights should be nonnegative and sum to 1."""
-    if len(weights) != len(mats) or not mats:
-        raise ValueError("need one weight per matrix")
-    if sum(weights) != 1:
-        raise ValueError("weights must sum to 1")
-    m, n = mats[0].m, mats[0].n
-    if any(M.m != m or M.n != n for M in mats):
-        raise ValueError("mixed dimensions")
-    rows = [
-        [sum(Fraction(w) * M.rows[i][j] for w, M in zip(weights, mats)) for j in range(n)]
-        for i in range(m)
-    ]
-    return Matrix([[_exact(Fraction(x)) for x in row] for row in rows])
-
-
-@st.composite
-def weighted_sign_matrices(draw, max_dim=4, max_count=6):
-    """Random nonnegative weights summing to 1 and as many 0/+-1 matrices."""
-    m = draw(st.integers(1, max_dim))
-    n = draw(st.integers(1, max_dim))
-    k = draw(st.integers(1, max_count))
-    entries = st.sampled_from((-1, 0, 1))
-    mats = [
-        Matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
-        for _ in range(k)
-    ]
-    raw = draw(st.lists(st.integers(0, 30), min_size=k, max_size=k).filter(any))
-    return [F(w, sum(raw)) for w in raw], mats
 
 
 def test_matrix_validation():
@@ -167,37 +129,6 @@ def test_partial_sum_helpers():
     M = Matrix([[0, 1], [1, -1]])
     assert row_partial_sums(M, 2) == [1, 0]
     assert column_partial_sums(M, 2) == [1, 0]
-
-
-def test_convex_combination():
-    a = Matrix([[1, 0], [0, 0]])
-    b = Matrix([[0, 1], [1, -1]])
-    mid = convex_combination([F(1, 2), F(1, 2)], [a, b])
-    assert mid == Matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]])
-    with pytest.raises(ValueError):
-        convex_combination([F(1, 2)], [a, b])
-    with pytest.raises(ValueError):
-        convex_combination([F(1, 2), F(1, 4)], [a, b])
-    with pytest.raises(ValueError):
-        convex_combination([F(1, 2), F(1, 2)], [a, Matrix([[1]])])
-    with pytest.raises(ValueError):
-        convex_combination([], [])
-    # Integer weights and rational entries are exact too.
-    assert convex_combination([1, 0], [a, b]) == a
-    c = Matrix([[F(1, 3), 0], [0, F(-2, 3)]])
-    assert convex_combination([F(3, 4), F(1, 4)], [c, b]) == _convex_combination_fraction(
-        [F(3, 4), F(1, 4)], [c, b]
-    )
-
-
-@given(weighted_sign_matrices())
-def test_convex_combination_matches_fraction_oracle(case):
-    weights, mats = case
-    got = convex_combination(weights, mats)
-    assert got == _convex_combination_fraction(weights, mats)
-    assert [[type(x) for x in row] for row in got.rows] == [
-        [type(x) for x in row] for row in _convex_combination_fraction(weights, mats).rows
-    ]
 
 
 def test_json_round_trip():

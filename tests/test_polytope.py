@@ -18,11 +18,11 @@ from pasmpoly import (
     order_polynomial_value,
     vertex_matrix,
 )
-from pasmpoly.matrices import convex_combination
 from pasmpoly.polytope import DILATE_SIZE_LIMIT
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
+from points import convex_combination
 
 F = Fraction
 

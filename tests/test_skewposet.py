@@ -56,6 +56,31 @@ def brute_order_polynomial(P, t):
     return count
 
 
+def lagrange_interpolate(values):
+    """Oracle: Lagrange accumulation over exact rationals, O(n^3) operations."""
+    xs = [Fraction(x) for x, _ in values]
+    ys = [Fraction(y) for _, y in values]
+    n = len(xs)
+    coeffs = [Fraction(0)] * max(n, 1)
+    for k in range(n):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for l in range(n):
+            if l == k:
+                continue
+            # multiply basis by (x - xs[l])
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for p, c in enumerate(basis):
+                nxt[p] -= c * xs[l]
+                nxt[p + 1] += c
+            basis = nxt
+            denom *= xs[k] - xs[l]
+        scale = ys[k] / denom
+        for p, c in enumerate(basis):
+            coeffs[p] += scale * c
+    return UniPoly(coeffs)
+
+
 def test_build_poset_worked_example():
     P = build_poset(EXAMPLE)
     assert P.elements == ((1, 4), (2, 2), (3, 1), (3, 2))
@@ -200,6 +225,24 @@ def test_interpolate_polynomial_examples():
     assert interpolate_polynomial([(1, 1), (2, 2)]) == UniPoly([0, 1])
     with pytest.raises(ValueError):
         interpolate_polynomial([(1, 1), (1, 2)])
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@given(st.lists(st.tuples(small_rationals, small_rationals), min_size=1, max_size=8,
+                unique_by=lambda s: s[0]))
+def test_interpolate_polynomial_matches_lagrange_oracle(samples):
+    poly = interpolate_polynomial(samples)
+    assert poly == lagrange_interpolate(samples)
+    assert all(poly(x) == y for x, y in samples)
+
+
+def test_interpolate_polynomial_matches_oracle_on_ehrhart_samples():
+    for shape in all_skew_shapes(6):
+        P = build_poset(shape)
+        samples = list(enumerate(order_polynomial_values(P, len(P) + 1), start=1))
+        assert interpolate_polynomial(samples) == lagrange_interpolate(samples), shape
 
 
 def test_order_polynomial_leading_coefficient():
