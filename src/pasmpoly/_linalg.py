@@ -2,16 +2,29 @@
 
 Inputs may be ``int`` or ``fractions.Fraction``.  Each row is scaled by the
 lcm of its denominators, which changes neither the rank nor the solution set
-of a row of equations, and all elimination then runs on Python ints.  Both
-kernels are fraction-free in the sense of Bareiss (Math. Comp. 22, 1968):
-every intermediate entry is an integer minor of the scaled input, so each
-division by the previous pivot is exact.  No floating point is used.
+of a row of equations, and all elimination then runs on Python ints.  No
+floating point is used.
+
+``rank`` keeps an incremental Gauss-Jordan basis of sparse rows
+(``{column: int}``), so its cost follows the nonzero entries, not the
+dense shape: the vertex matrices of the polytope have at most 2m - 1
+nonzeros each.  Every basis row is divided by its content (the gcd of its
+entries) after each update, so it stays primitive.  The basis is reduced:
+its pivot columns are zero in every other basis row, so each basis row is,
+up to sign, the primitive integer vector of the row span that vanishes on
+the other pivot columns.  By Cramer's rule its entries are bounded by
+r x r minors of the scaled input, the same bound as for Bareiss
+elimination.
+
+The phase-1 simplex is fraction-free in the sense of Bareiss (Math. Comp.
+22, 1968): every tableau entry is an integer minor of the scaled input, so
+each division by the previous pivot is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -23,25 +36,52 @@ def _integer_row(row: Sequence[Scalar]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of the row span, by Bareiss fraction-free elimination."""
-    # The rows still to be eliminated, cut to the columns not yet passed.
-    sub = [_integer_row(row) for row in rows]
-    r, prev = 0, 1
-    while sub and sub[0]:
-        pivot = next((i for i, row in enumerate(sub) if row[0]), None)
-        if pivot is None:
-            sub = [row[1:] for row in sub]
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The sparse row divided by its content."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _reduce(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
+    """q * row - a * b, with q = b[c] and a = row[c] over their gcd, so column c
+    vanishes; then divided by its content."""
+    q, a = b[c], row[c]
+    g = gcd(q, a)
+    q, a = q // g, a // g
+    out = dict(row) if q == 1 else {j: q * x for j, x in row.items()}
+    for j, y in b.items():
+        x = out.get(j, 0) - a * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _reduced_basis(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+    """A reduced basis of the row span, as {pivot column: primitive sparse row}."""
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = {j: x for j, x in enumerate(row) if x}
+        den = lcm(*(x.denominator for x in vec.values()))
+        vec = _primitive({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
+        # A basis row is zero on the other pivots, so eliminating one pivot
+        # never brings back another: one pass over the row's support is enough.
+        for c in [j for j in vec if j in basis]:
+            vec = _reduce(vec, basis[c], c)
+        if not vec:
             continue
-        sub[0], sub[pivot] = sub[pivot], sub[0]
-        p, tail = sub[0][0], sub[0][1:]
-        for i in range(1, len(sub)):
-            a = sub[i][0]
-            sub[i] = [(p * x - a * y) // prev for x, y in zip(sub[i][1:], tail)]
-        sub = [row for row in sub[1:] if any(row)]  # a zero row stays zero
-        prev = p
-        r += 1
-    return r
+        p = min(vec)
+        for b in basis:
+            if p in basis[b]:
+                basis[b] = _reduce(basis[b], vec, p)
+        basis[p] = vec
+    return basis
+
+
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank of the row span, by sparse Gauss-Jordan elimination."""
+    return len(_reduced_basis(rows))
 
 
 def affine_rank(points: Sequence[Sequence[Scalar]]) -> int:

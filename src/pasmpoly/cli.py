@@ -9,6 +9,7 @@ output is exact (integers or "p/q" strings).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -262,8 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than a small command; parse_args keeps no
+# state in it, so one parser serves every call in the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,6 +17,7 @@ from .matrices import Matrix, Scalar, _corner_rows, corner_sums, inverse_corner_
 from .polytope import PasmPolytope
 from .shapes import Cell
 from .skewposet import (
+    SkewPoset,
     build_poset,
     enumerate_filters,
     enumerate_order_preserving_maps,
@@ -42,7 +43,11 @@ def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
     j <= lam_i and 1 on cells with j > nu_i, the values forced on every
     polytope point, then finite-differenced back to a matrix.
     """
-    P = build_poset(poly.shape)
+    return _from_order_point(g, poly, build_poset(poly.shape))
+
+
+def _from_order_point(g: PosetPoint, poly: PasmPolytope, P: SkewPoset) -> Matrix:
+    """:func:`from_order_point`, given the cell poset P of the shape."""
     if not in_order_polytope(P, g):
         raise ValueError("point is not in the order polytope")
     lam, nu = poly.shape.lam, poly.shape.nu
@@ -119,7 +124,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     for V in poly.vertices():
         try:
             g = to_order_point(V, poly)
-            back = from_order_point(g, poly)
+            back = _from_order_point(g, poly, P)
         except ValueError:
             back = None
         if back != V:

@@ -241,9 +241,19 @@ class PasmPolytope:
 
 
 def is_extreme(X: Matrix, others: list[Matrix]) -> bool:
-    """True iff X is not a convex combination of the given matrices."""
+    """True iff X is not a convex combination of the given matrices.
+
+    If <X, X> > <X, V> for every V in others, the functional X strictly
+    separates X from their hull, an exact proof that X is extreme.  Every
+    other case, and so every False, is decided by the phase-1 simplex.
+    """
     if any(o.m != X.m or o.n != X.n for o in others):
         raise ValueError("mixed dimensions")
     if not others:
         return True
-    return not convex_combination_exists(X.flatten(), [o.flatten() for o in others])
+    x = X.flatten()
+    points = [o.flatten() for o in others]
+    norm = sum(a * a for a in x)
+    if all(sum(a * b for a, b in zip(x, p)) < norm for p in points):
+        return True
+    return not convex_combination_exists(x, points)

@@ -256,3 +256,20 @@ def test_empty_lambda_defaults(capsys):
     code, out = run(capsys, "dim", "--nu", "2,1")
     assert code == 0
     assert out.strip() == "3"
+
+
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    shape = ["--lambda", "3,1", "--nu", "4,2,2"]
+    code, out = run(capsys, "ehrhart", *shape, "--tmax", "3")
+    assert code == 0 and out.count("L(") == 4
+    code, out = run(capsys, "ehrhart", *shape)  # back to the default, t <= |nu/lam|
+    assert code == 0 and out.count("L(") == 5
+    target = tmp_path / "dim.txt"
+    code, out = run(capsys, "dim", *shape, "--out", str(target))
+    assert (code, out, target.read_text()) == (0, "", "4\n")
+    code, out = run(capsys, "dim", *shape)
+    assert (code, out, target.read_text()) == (0, "4\n", "4\n")
+    assert main(["dim", "--bogus"]) == 2
+    assert main(["dim", "--lambda", "2,2", "--nu", "3,1"]) == 2
+    capsys.readouterr()
+    assert run(capsys, "dim", *shape) == (0, "4\n")

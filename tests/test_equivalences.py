@@ -283,14 +283,14 @@ def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
 
 
 def test_certificate_catches_a_wrong_inverse(monkeypatch):
-    real = equivalences.from_order_point
+    real = equivalences._from_order_point
 
-    def perturbed(g, poly):
-        rows = [list(r) for r in real(g, poly).rows]
+    def perturbed(g, poly, P):
+        rows = [list(r) for r in real(g, poly, P).rows]
         rows[-1][-1] += 1
         return Matrix(rows)
 
-    monkeypatch.setattr(equivalences, "from_order_point", perturbed)
+    monkeypatch.setattr(equivalences, "_from_order_point", perturbed)
     poly = example_polytope()
     report = certify_integral_equivalence(poly, 2)
     assert report["affine_unimodular"] is False
@@ -306,3 +306,16 @@ def test_certificate_guardrail_comes_before_vertex_work(monkeypatch):
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ResourceLimit):
         certify_integral_equivalence(big, 1)
+
+
+def test_certificate_builds_the_cell_poset_once(monkeypatch):
+    calls = []
+
+    def counted(shape):
+        calls.append(shape)
+        return build_poset(shape)
+
+    monkeypatch.setattr(equivalences, "build_poset", counted)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert certificate_passes(report)
+    assert len(calls) == 1

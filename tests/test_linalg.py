@@ -1,12 +1,19 @@
 """The integer kernels of ``pasmpoly._linalg`` against ``Fraction`` oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pasmpoly import PasmPolytope
-from pasmpoly._linalg import _integer_row, affine_rank, convex_combination_exists, rank
+from pasmpoly import Partition, PasmPolytope, SkewShape
+from pasmpoly._linalg import (
+    _integer_row,
+    _reduced_basis,
+    affine_rank,
+    convex_combination_exists,
+    rank,
+)
 
 from families import all_skew_shapes
 
@@ -158,11 +165,27 @@ def test_rank_matches_oracle_on_rational_matrices(rows):
 
 
 def test_rank_matches_oracle_on_vertex_differences():
-    for shape in all_skew_shapes(5):
+    larger = [((5, 5, 5, 5), ()), ((6, 6, 6, 6), (2, 2)), ((5, 4, 3, 2, 1), ())]
+    for shape in all_skew_shapes(5) + [SkewShape(Partition(nu), Partition(lam))
+                                       for nu, lam in larger]:
         verts = [v.flatten() for v in PasmPolytope(shape).vertices()]
         diffs = [[x - b for x, b in zip(p, verts[0])] for p in verts[1:]]
         assert rank(diffs) == fraction_rank(diffs) == checked_bareiss_rank(diffs)
         assert rank(diffs) == shape.size, shape
+
+
+@given(matrices())
+def test_reduced_basis_is_reduced_primitive_and_spans(rows):
+    basis = _reduced_basis(rows)
+    ncols = len(rows[0]) if rows else 0
+    dense = [[b.get(j, 0) for j in range(ncols)] for b in basis.values()]
+    for c, b in basis.items():
+        assert b[c] != 0 and all(x != 0 and type(x) is int for x in b.values())
+        assert not any(p in b for p in basis if p != c), "pivot column not cleared"
+        assert gcd(*b.values()) == 1, "row not divided by its content"
+    # Independent rows inside the span, as many as its dimension.
+    assert len(basis) == fraction_rank(rows) == fraction_rank(dense)
+    assert fraction_rank(rows + dense) == fraction_rank(rows)
 
 
 @settings(deadline=None)  # the first example imports sympy

@@ -18,11 +18,13 @@ from pasmpoly import (
     order_polynomial_value,
     vertex_matrix,
 )
+import pasmpoly.polytope
 from pasmpoly.polytope import DILATE_SIZE_LIMIT
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
 from points import convex_combination
+from test_linalg import fraction_convex_combination_exists
 
 F = Fraction
 
@@ -250,6 +252,60 @@ def test_is_extreme():
     assert is_extreme(verts[0], [])
     with pytest.raises(ValueError):
         is_extreme(verts[0], [Matrix([[1]])])
+
+
+def _no_lp(monkeypatch):
+    def refuse(target, others):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(pasmpoly.polytope, "convex_combination_exists", refuse)
+
+
+def test_vertices_are_self_separated(monkeypatch):
+    """Every vertex is proved extreme by the separation certificate alone."""
+    _no_lp(monkeypatch)
+    shapes = all_skew_shapes(5) + [
+        SkewShape(staircase(6), Partition()),
+        SkewShape(Partition([4, 4, 4]), Partition()),
+    ]
+    for shape in shapes:
+        verts = PasmPolytope(shape).vertices()
+        for k, v in enumerate(verts):
+            assert is_extreme(v, verts[:k] + verts[k + 1:])
+
+
+def test_is_extreme_without_self_separation_asks_the_simplex(monkeypatch):
+    X, others = Matrix([[1, 0]]), [Matrix([[2, 0]])]
+    assert is_extreme(X, others)  # <X, X> = 1 < 2 = <X, V>, yet X is extreme
+    _no_lp(monkeypatch)
+    with pytest.raises(AssertionError, match="simplex"):
+        is_extreme(X, others)
+
+
+@st.composite
+def sign_point_sets(draw):
+    """A 0/1/-1 target and 0/1/-1 points.  Besides random targets, the set may
+    hold the target itself, or a point that agrees with the target on its
+    support (<X, V> = <X, X>), which the functional X does not separate."""
+    dim = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+    target = draw(vec)
+    others = draw(st.lists(vec, min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["random", "member", "shadow"]))
+    if kind == "member":
+        others.append(list(target))
+    elif kind == "shadow":
+        others.append([x if x else y for x, y in zip(target, draw(vec))])
+    return target, draw(st.permutations(others))
+
+
+@given(sign_point_sets())
+def test_is_extreme_matches_fraction_simplex(instance):
+    target, others = instance
+    X = Matrix([target])
+    assert is_extreme(X, [Matrix([o]) for o in others]) == (
+        not fraction_convex_combination_exists(target, others)
+    )
 
 
 def test_convex_combinations_stay_inside():
