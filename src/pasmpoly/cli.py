@@ -38,28 +38,21 @@ def _parse_partition(text: str | None) -> Partition:
     try:
         return Partition(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad partition {text!r}: {exc}") from exc
-
-
-class UsageError(Exception):
-    pass
+        raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
 
 def _tmax(args, default: int, least: int) -> int:
     if args.tmax is None:
         return default
     if args.tmax < least:
-        raise UsageError(f"--tmax must be >= {least}, got {args.tmax}")
+        raise ValueError(f"--tmax must be >= {least}, got {args.tmax}")
     return args.tmax
 
 
 def _shape_from_args(args) -> SkewShape:
     lam = _parse_partition(args.lam)
     nu = _parse_partition(args.nu)
-    try:
-        return SkewShape(nu, lam, args.m, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return SkewShape(nu, lam, args.m, args.n)
 
 
 def _emit(args, text: str) -> None:
@@ -75,7 +68,7 @@ def _load_matrix(path: str) -> Matrix:
         with open(path, "r", encoding="utf-8") as fh:
             return Matrix.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot read matrix from {path}: {exc}") from exc
+        raise ValueError(f"cannot read matrix from {path}: {exc}") from exc
 
 
 def _cmd_vertices(args) -> int:
@@ -94,10 +87,7 @@ def _cmd_vertices(args) -> int:
 def _cmd_check(args) -> int:
     poly = PasmPolytope(_shape_from_args(args))
     M = _load_matrix(args.matrix)
-    try:
-        ok = poly.satisfies_inequalities(M)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ok = poly.satisfies_inequalities(M)
     _emit(args, json.dumps({"member": ok}) if args.format == "json" else
           ("member" if ok else "not a member"))
     return 0 if ok else VERIFICATION_FAILURE
@@ -178,10 +168,7 @@ def _cmd_flow_graph(args) -> int:
 
 def _cmd_phi(args) -> int:
     M = _load_matrix(args.matrix)
-    try:
-        image = complete_to_asm(M)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    image = complete_to_asm(M)
     _emit(args, json.dumps(image.to_json_dict()) if args.format == "json" else image.pretty())
     return 0
 
@@ -277,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE_LIMIT if isinstance(exc, ResourceLimit) else USAGE_ERROR
 

@@ -99,7 +99,8 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       onto the order-preserving maps into {0, ..., t}.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
-    guardrail is applied to t_max before any other work.
+    guardrail is applied to t_max before any other work; it refuses only
+    t_max >= 2, so t_max = 1 runs on every shape.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")

@@ -79,7 +79,10 @@ class Matrix:
             if isinstance(x, int):
                 return x
             if isinstance(x, str):
-                return _exact(Fraction(x))
+                try:
+                    return _exact(Fraction(x))
+                except ZeroDivisionError:
+                    raise ValueError(f"bad matrix entry {x!r}: zero denominator") from None
             raise TypeError(f"bad matrix entry {x!r}")
 
         mat = cls([[dec(x) for x in row] for row in data["entries"]])

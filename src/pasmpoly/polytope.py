@@ -17,7 +17,9 @@ Integer points of a dilate are scanned row by row (the transfer-matrix
 method): the state before a row is the vector of column partial sums so
 far, the feasible rows out of each (row, state) pair and their next states
 are computed once and memoized, and the walk over them yields every point
-as a tuple of int rows, in row-major lexicographic order.
+as a tuple of int rows, in row-major lexicographic order.  At t = 1 the
+points are the vertices, so the scan doubles as the census of the
+inequality description; only dilates with t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ._linalg import affine_rank, convex_combination_exists
 from .matrices import Matrix, vertex_matrix
 from .shapes import Cell, SkewShape, enumerate_between
 
-BRUTE_FREE_CELL_LIMIT = 16
 DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
 
@@ -199,30 +200,27 @@ class PasmPolytope:
         yield from walk(0, (0,) * n, ())
 
     def integer_points_brute(self) -> list[Matrix]:
-        """Exhaustive integer scan of the inequality system at t = 1.
-
-        Guarded by the number of non-fixed cells, since fixed zeros prune the
-        search space to the lam/nu corridor.
-        """
-        free = len(self.free_cells())
-        if free > BRUTE_FREE_CELL_LIMIT:
-            raise ResourceLimit(
-                f"brute scan guardrail exceeded: {free} free cells, "
-                f"limit {BRUTE_FREE_CELL_LIMIT}"
-            )
-        return [Matrix(rows) for rows in self._scan_rows(1)]
+        """Exhaustive integer scan of the inequality system at t = 1."""
+        return self.dilate_integer_points(1)
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation."""
         return affine_rank([v.flatten() for v in self.vertices()])
 
     def _check_dilate(self, t: int) -> None:
+        """The one guardrail of the integer-point scan; it refuses only t >= 2.
+
+        After every row the column partial sums are nonnegative and sum to t.
+        So at t = 1 the scan has at most n states per row, and its points are
+        the vertices, which vertices(), dim and the certificate's round trip
+        already list with no guard.  At t = 0 the scan yields one point.
+        """
         if t < 0:
             raise ValueError("dilation factor must be nonnegative")
-        if self.shape.size > DILATE_SIZE_LIMIT or t > DILATE_T_LIMIT:
+        if t > DILATE_T_LIMIT or (t >= 2 and self.shape.size > DILATE_SIZE_LIMIT):
             raise ResourceLimit(
                 f"dilate scan guardrail exceeded: |nu/lam| = {self.shape.size}, t = {t}; "
-                f"limits |nu/lam| <= {DILATE_SIZE_LIMIT}, t <= {DILATE_T_LIMIT}"
+                f"limits t <= {DILATE_T_LIMIT}, and |nu/lam| <= {DILATE_SIZE_LIMIT} when t >= 2"
             )
 
     def dilate_lattice_points(self, t: int) -> DilateCount:

@@ -136,6 +136,18 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+def test_matrix_with_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "matrix.json"
+    src.write_text(json.dumps({"m": 2, "n": 2, "entries": [["1/0", 0], [0, 1]]}))
+    for argv in (["check", "--nu", "2,1"], ["phi"]):
+        code = main(argv + ["--matrix", str(src)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read matrix from {src}: "
+                                "bad matrix entry '1/0': zero denominator\n")
+
+
 def test_phi(tmp_path, capsys):
     src = tmp_path / "matrix.json"
     src.write_text(json.dumps(PARTIAL_4.to_json_dict()))
@@ -207,6 +219,15 @@ def test_certify_guardrail_is_a_resource_limit(capsys):
     assert captured.out == ""
     assert "guardrail" in captured.err
     assert "|nu/lam| = 9" in captured.err
+    # The default --tmax is 2, which the guardrail refuses beyond 8 cells.
+    assert main(["certify", "--nu", "3,3,3"]) == 3
+    assert "guardrail" in capsys.readouterr().err
+
+
+def test_certify_tmax_one_runs_on_any_shape(capsys):
+    code, out = run(capsys, "certify", "--nu", "7,7,7,7,7,7", "--tmax", "1")
+    assert code == 0
+    assert out.endswith("result: pass\n")
 
 
 def test_certify_vertex_outside_h_description_is_a_failure(capsys, monkeypatch):

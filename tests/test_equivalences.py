@@ -262,10 +262,18 @@ def test_certificate_catches_a_corner_sum_out_of_range(monkeypatch):
 
 def test_certificate_keeps_the_dilate_guardrail():
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
-    with pytest.raises(ResourceLimit, match=r"\|nu/lam\| = 9, t = 1"):
-        certify_integral_equivalence(big, 1)
+    with pytest.raises(ResourceLimit, match=r"\|nu/lam\| = 9, t = 2"):
+        certify_integral_equivalence(big, 2)
     with pytest.raises(ResourceLimit, match="t = 5"):
         certify_integral_equivalence(example_polytope(), 5)
+
+
+def test_certificate_at_t_one_runs_beyond_eight_cells():
+    for side, rows in ((6, 5), (7, 6)):
+        poly = PasmPolytope(SkewShape(Partition([side] * rows), Partition()))
+        report = certify_integral_equivalence(poly, 1)
+        assert certificate_passes(report)
+        assert report["dilate_counts"] == [[1, len(poly.vertices()), len(poly.vertices())]]
 
 
 def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
@@ -305,7 +313,7 @@ def test_certificate_guardrail_comes_before_vertex_work(monkeypatch):
     monkeypatch.setattr(PasmPolytope, "vertices", refuse)
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ResourceLimit):
-        certify_integral_equivalence(big, 1)
+        certify_integral_equivalence(big, 2)
 
 
 def test_certificate_builds_the_cell_poset_once(monkeypatch):

@@ -139,6 +139,11 @@ def test_json_round_trip():
     assert Matrix.from_json_dict(data) == M
 
 
+def test_json_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="'1/0'"):
+        Matrix.from_json_dict({"m": 1, "n": 2, "entries": [["1/0", 1]]})
+
+
 def test_json_rejects_inconsistent_dims():
     with pytest.raises(ValueError):
         Matrix.from_json_dict({"m": 3, "n": 2, "entries": [[1, 0], [0, 1]]})

@@ -199,28 +199,36 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t):
         assert poly.integer_points_brute() == oracle
 
 
+def _assert_t_at_most_one_scans_list_the_vertices(poly):
+    verts = set(poly.vertices())
+    assert set(poly.integer_points_brute()) == verts
+    assert set(poly.dilate_integer_points(1)) == verts
+    assert poly.dilate_lattice_points(0).count == 1
+    assert poly.dilate_lattice_points(1).count == len(verts)
+
+
 def test_integer_points_equal_vertices_sweep():
     # Computational verification of the inequality description.
-    for shape in all_skew_shapes(6):
-        poly = PasmPolytope(shape)
-        assert set(poly.integer_points_brute()) == set(poly.vertices()), shape
+    for shape in all_skew_shapes(7):
+        _assert_t_at_most_one_scans_list_the_vertices(PasmPolytope(shape))
 
 
-def test_integer_points_guardrail():
-    big = PasmPolytope(SkewShape(Partition([9]), Partition(), 2, 10))
-    with pytest.raises(ValueError):
-        big.integer_points_brute()
+def test_t_at_most_one_scans_run_beyond_eight_cells():
+    # The dilate guardrail refuses only t >= 2: at t <= 1 the scan lists no
+    # more than the vertices.
+    for shape in (SkewShape(Partition([9]), Partition(), 2, 10),
+                  SkewShape(Partition([4, 4, 4]), Partition()),
+                  SkewShape(Partition([6] * 5), Partition())):
+        assert shape.size > DILATE_SIZE_LIMIT
+        _assert_t_at_most_one_scans_list_the_vertices(PasmPolytope(shape))
 
 
 def test_guardrails_raise_resource_limit():
     assert issubclass(ResourceLimit, ValueError)
-    brute = PasmPolytope(SkewShape(Partition([9]), Partition(), 2, 10))
-    with pytest.raises(ResourceLimit, match="20 free cells, limit 16"):
-        brute.integer_points_brute()
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     for scan in (big.dilate_lattice_points, big.dilate_integer_points):
-        with pytest.raises(ResourceLimit, match=r"guardrail.*\|nu/lam\| = 9, t = 1"):
-            scan(1)
+        with pytest.raises(ResourceLimit, match=r"guardrail.*\|nu/lam\| = 9, t = 2"):
+            scan(2)
     for scan in (example_polytope().dilate_lattice_points, example_polytope().dilate_integer_points):
         with pytest.raises(ResourceLimit, match="t = 5"):
             scan(5)
@@ -344,7 +352,7 @@ def test_dilate_guardrails():
         poly.dilate_lattice_points(5)
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ValueError):
-        big.dilate_lattice_points(1)
+        big.dilate_lattice_points(2)
 
 
 def test_ehrhart_interpolation_leading_coefficient():
