@@ -23,11 +23,10 @@ each division by the previous pivot is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Scalar = int | Fraction
+from .matrices import Scalar
 
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:

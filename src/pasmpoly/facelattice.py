@@ -12,10 +12,9 @@ corresponding face.
 from __future__ import annotations
 
 from .matrices import Matrix, column_partial_sums, is_partial_asm, row_partial_sums
-from .polytope import PasmPolytope
+from .polytope import Edge, PasmPolytope
 from .shapes import Partition
 
-Edge = tuple[str, int, int]
 Labeling = dict[Edge, frozenset[int]]
 
 
@@ -84,29 +83,13 @@ def union_sum_labeling(mats: list[Matrix]) -> Labeling:
 def face_labeling(poly: PasmPolytope) -> Labeling:
     """The explicit labeling encoding the polytope as a grid-graph face.
 
-    Edges in the union of the outlines of all partitions between lam and nu,
-    minus the common outline edges of lam and nu, get {0,1}; the common
-    edges get {1}; everything else gets {0}.  As mu_i runs over
-    [lam_i, nu_i], that union is ("V", i, j) for lam_i < j <= nu_i + 1 and
-    ("H", i, j) for lam_i < j <= nu_{i-1} (with nu_0 = n).
+    Each edge is labeled by the integers between its bounds in the
+    polytope's inequality description, the table that its membership test
+    and its integer-point scan read.  The common outline edges of lam and nu
+    get {1}; the other edges of the outlines of the partitions between them
+    get {0,1}; every other edge gets {0}.
     """
-    m, n = poly.m, poly.n
-    lam, nu = poly.shape.lam, poly.shape.nu
-    union: set[Edge] = set()
-    for i in range(1, m + 1):
-        upper = n if i == 1 else nu.part(i - 1)
-        union.update(("V", i, j) for j in range(lam.part(i) + 1, nu.part(i) + 2))
-        union.update(("H", i, j) for j in range(lam.part(i) + 1, upper + 1))
-    shared = outline_edges(lam, m, n) & outline_edges(nu, m, n)
-    lab: Labeling = {}
-    for edge in grid_edges(m, n):
-        if edge in shared:
-            lab[edge] = frozenset({1})
-        elif edge in union:
-            lab[edge] = frozenset({0, 1})
-        else:
-            lab[edge] = frozenset({0})
-    return lab
+    return {edge: frozenset(range(lo, hi + 1)) for edge, (lo, hi) in poly._bounds().items()}
 
 
 def region_count(labeling: Labeling) -> int:

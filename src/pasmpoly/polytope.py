@@ -1,25 +1,31 @@
 """The polytope of partial alternating sign matrices attached to a skew shape.
 
 The polytope is the convex hull of the profile matrices of all partitions
-between lam and nu.  Its inequality description, checked computationally
-throughout the test suite, is:
+between lam and nu.  It is a face of the partial ASM polytope: every row
+partial sum H(i, j) = X[i][1] + ... + X[i][j] and every column partial sum
+V(i, j) = X[1][j] + ... + X[i][j] lies in [0, 1], and the face pins some of
+them to 0 or to 1.  With lam_0 = nu_0 = n and [.] equal to 1 when the
+condition holds and 0 otherwise, its inequality description is
 
-* all row and column partial sums lie in [0, 1];
-* the first row and first column sum to exactly 1, all others to 0;
-* entries in the lam region (j <= lam_i) are 0;
-* entries strictly east of the border strip of nu are 0, i.e.
-  X[1][j] = 0 for j > nu_1 + 1 and X[i][j] = 0 for j > nu_{i-1} + 1, i >= 2.
+* H(i, j) in [ [nu_i < j <= lam_{i-1}], [lam_i < j <= nu_{i-1}] ];
+* V(i, j) in [ [lam_i = nu_i and j = nu_i + 1], [lam_i < j <= nu_i + 1] ].
 
-The t-th dilate scales only the inhomogeneous bounds: partial sums in
-[0, t], first row/column sums t.
+These bounds are the face labeling.  PasmPolytope keeps them as one table,
+(lo, hi) per grid edge, which the membership test, the integer-point scan
+and facelattice.face_labeling all read.  They fix the line sums
+(H(1, n) = V(m, 1) = 1, the other full sums 0) and the zeros in the lam
+region and east of the border strip of nu.  The test suite pins them to
+the paper's form: those fixed zeros, partial sums in [0, 1] and the line
+sums.
 
-Integer points of a dilate are scanned row by row (the transfer-matrix
-method): the state before a row is the vector of column partial sums so
-far, the feasible rows out of each (row, state) pair and their next states
-are computed once and memoized, and the walk over them yields every point
-as a tuple of int rows, in row-major lexicographic order.  At t = 1 the
-points are the vertices, so the scan doubles as the census of the
-inequality description; only dilates with t >= 2 pass a guardrail.
+The t-th dilate scales the bounds by t.  Its integer points are scanned row
+by row (the transfer-matrix method): the state before a row is the vector
+of column partial sums so far, the feasible rows out of each (row, state)
+pair and their next states are computed once and memoized, and the walk
+over them yields every point as a tuple of int rows, in row-major
+lexicographic order.  At t = 1 the points are the vertices, so the scan
+doubles as the census of the inequality description; only dilates with
+t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from ._linalg import affine_rank, convex_combination_exists
-from .matrices import Matrix, vertex_matrix
+from .matrices import Matrix, Scalar, column_partial_sums, row_partial_sums, vertex_matrix
 from .shapes import Cell, SkewShape, enumerate_between
 
 DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
+
+# A grid edge: ("H", i, j) carries the row-i partial sum through column j,
+# ("V", i, j) the column-j partial sum through row i.
+Edge = tuple[str, int, int]
 
 
 class ResourceLimit(ValueError):
@@ -47,12 +57,12 @@ class DilateCount(NamedTuple):
 class PasmPolytope:
     """H- and V-descriptions of the polytope for one skew shape."""
 
-    __slots__ = ("shape", "_vertices", "_zeros")
+    __slots__ = ("shape", "_vertices", "_table")
 
     def __init__(self, shape: SkewShape):
         self.shape = shape
         self._vertices: list[Matrix] | None = None
-        self._zeros: frozenset[Cell] | None = None
+        self._table: dict[Edge, tuple[int, int]] | None = None
 
     @property
     def m(self) -> int:
@@ -62,50 +72,43 @@ class PasmPolytope:
     def n(self) -> int:
         return self.shape.n
 
-    def fixed_zero_cells(self) -> frozenset[Cell]:
-        """Cells forced to zero by the lam region and the strip shadow."""
-        if self._zeros is None:
-            lam, nu = self.shape.lam, self.shape.nu
-            zeros = set()
-            for i in range(1, self.m + 1):
-                for j in range(1, lam.part(i) + 1):
-                    zeros.add((i, j))
-                east = nu.part(1) + 1 if i == 1 else nu.part(i - 1) + 1
-                for j in range(east + 1, self.n + 1):
-                    zeros.add((i, j))
-            self._zeros = frozenset(zeros)
-        return self._zeros
+    def _bounds(self) -> dict[Edge, tuple[int, int]]:
+        """The inequality description, in the closed form of the module
+        docstring: (lo, hi) for the partial sum on each grid edge,
+        horizontals first, each in row-major order."""
+        if self._table is None:
+            m, n = self.m, self.n
+            lam = [n] + [self.shape.lam.part(i) for i in range(1, m + 1)]
+            nu = [n] + [self.shape.nu.part(i) for i in range(1, m + 1)]
+            table: dict[Edge, tuple[int, int]] = {}
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    table["H", i, j] = (int(nu[i] < j <= lam[i - 1]),
+                                        int(lam[i] < j <= nu[i - 1]))
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    table["V", i, j] = (int(lam[i] == nu[i] and j == nu[i] + 1),
+                                        int(lam[i] < j <= nu[i] + 1))
+            self._table = table
+        return self._table
 
     def free_cells(self) -> tuple[Cell, ...]:
-        zeros = self.fixed_zero_cells()
-        return tuple(
-            (i, j)
-            for i in range(1, self.m + 1)
-            for j in range(1, self.n + 1)
-            if (i, j) not in zeros
-        )
+        """The cells of nu/lam and the border strip of nu, in row-major order:
+        the entries the inequality description does not fix to zero."""
+        return tuple(sorted(set(self.shape.cells()) | self.shape.border_strip()))
 
     def satisfies_inequalities(self, X: Matrix) -> bool:
         """Exact membership test against the inequality description."""
         if X.m != self.m or X.n != self.n:
             raise ValueError(f"expected a {self.m}x{self.n} matrix, got {X.m}x{X.n}")
-        zeros = self.fixed_zero_cells()
-        if any(X.entry(i, j) != 0 for (i, j) in zeros):
-            return False
-        col = [0] * (self.n + 1)
+        sums: dict[Edge, Scalar] = {}
         for i in range(1, self.m + 1):
-            row_sum = 0
-            for j in range(1, self.n + 1):
-                x = X.entry(i, j)
-                row_sum += x
-                col[j] += x
-                if not (0 <= row_sum <= 1) or not (0 <= col[j] <= 1):
-                    return False
-            if row_sum != (1 if i == 1 else 0):
-                return False
-        if col[1] != 1:
-            return False
-        return all(col[j] == 0 for j in range(2, self.n + 1))
+            for j, s in enumerate(row_partial_sums(X, i), start=1):
+                sums["H", i, j] = s
+        for j in range(1, self.n + 1):
+            for i, s in enumerate(column_partial_sums(X, j), start=1):
+                sums["V", i, j] = s
+        return all(lo <= sums[edge] <= hi for edge, (lo, hi) in self._bounds().items())
 
     def vertices(self) -> list[Matrix]:
         """Profile matrices of all partitions between lam and nu."""
@@ -120,63 +123,38 @@ class PasmPolytope:
         """All integer points of the t-dilate, each a tuple of int row tuples,
         in lexicographic (row-major) order.
 
-        Row/column partial sums are kept in [0, t]; row targets are t for
-        row 1 and 0 otherwise, column targets t for column 1 and 0 otherwise.
-        The state before row i is the vector of column partial sums of rows
-        < i.  For each (i, state) the feasible rows i and their next states
-        are computed once and memoized, so the walk descends one row, not
-        one cell, at a time.
+        Each entry is drawn from the range that keeps its row partial sum and
+        its column partial sum within t times their bounds; the bounds on the
+        full line sums close every row and column.  The state before row i
+        is the vector of column partial sums of rows < i.  For each (i, state)
+        the feasible rows i and their next states are computed once and
+        memoized, so the walk descends one row, not one cell, at a time.
         """
         m, n = self.m, self.n
-        zeros = self.fixed_zero_cells()
-        free = [[(i, j) not in zeros for j in range(1, n + 1)] for i in range(1, m + 1)]
-        # free_after[i][j]: free cells of row i at column j or later (0-based).
-        free_after = [[0] * (n + 1) for _ in range(m)]
-        for i in range(m):
-            for j in range(n - 1, -1, -1):
-                free_after[i][j] = free_after[i][j + 1] + free[i][j]
-        last_free_row = [0] * n
-        for j in range(n):
-            for i in range(m):
-                if free[i][j]:
-                    last_free_row[j] = i + 1
-        col_target = [t] + [0] * (n - 1)
-
-        # A column with no free cell at all can never reach a nonzero target.
-        if any(last_free_row[j] == 0 and col_target[j] != 0 for j in range(n)):
-            return
+        bounds = self._bounds()
+        # scaled[i][k][j]: t * (lo_H, hi_H, lo_V, hi_V)[k] at (i + 1, j + 1).
+        scaled = [
+            [[t * bounds[kind, i, j][side] for j in range(1, n + 1)]
+             for kind in "HV" for side in (0, 1)]
+            for i in range(1, m + 1)
+        ]
 
         def feasible_rows(i: int, cols: tuple[int, ...]) -> list:
             """Rows i (0-based) that extend a point whose column partial sums are
             cols, in lexicographic order, each with its next state."""
-            row_target = t if i == 0 else 0
-            closes = [i + 1 >= last_free_row[j] for j in range(n)]
+            lo_h, hi_h, lo_v, hi_v = scaled[i]
             row = [0] * n
             out = []
 
             def rec(j: int, row_sum: int) -> None:
                 if j == n:
-                    if row_sum == row_target:
-                        out.append((tuple(row), tuple(c + x for c, x in zip(cols, row))))
+                    out.append((tuple(row), tuple(c + x for c, x in zip(cols, row))))
                     return
                 c = cols[j]
-                if free[i][j]:
-                    choices = range(max(-row_sum, -c), min(t - row_sum, t - c) + 1)
-                else:
-                    choices = (0,)
-                for x in choices:
-                    new_row = row_sum + x
-                    # The rest of the row can move the partial sum by at most
-                    # t per free cell (and not at all if none remain).
-                    if abs(row_target - new_row) > free_after[i][j + 1] * t:
-                        continue
-                    # Once the last free cell of a column is placed, its
-                    # partial sum must already equal the column target.
-                    if closes[j] and c + x != col_target[j]:
-                        continue
+                for x in range(max(lo_h[j] - row_sum, lo_v[j] - c),
+                               min(hi_h[j] - row_sum, hi_v[j] - c) + 1):
                     row[j] = x
-                    rec(j + 1, new_row)
-                row[j] = 0
+                    rec(j + 1, row_sum + x)
 
             rec(0, 0)
             return out

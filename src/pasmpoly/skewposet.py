@@ -11,9 +11,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
+from .matrices import Scalar
 from .shapes import Cell, SkewShape
-
-Scalar = int | Fraction
 
 
 class SkewPoset:

@@ -231,11 +231,12 @@ def test_certify_tmax_one_runs_on_any_shape(capsys):
 
 
 def test_certify_vertex_outside_h_description_is_a_failure(capsys, monkeypatch):
-    # One more fixed zero at (2, nu_1 + 1) cuts off a vertex: that is a
-    # certificate failure (exit 1), not a usage error.
-    real = PasmPolytope.fixed_zero_cells
-    monkeypatch.setattr(PasmPolytope, "fixed_zero_cells",
-                        lambda self: real(self) | {(2, 5)})
+    # Pinning H(2, 4) to 0 forces the entry (2, 5) = -H(2, 4) to 0, which
+    # cuts off a vertex: that is a certificate failure (exit 1), not a
+    # usage error.
+    real = PasmPolytope._bounds
+    monkeypatch.setattr(PasmPolytope, "_bounds",
+                        lambda self: {**real(self), ("H", 2, 4): (0, 0)})
     code = main(["certify", "--nu", "4,2,2", "--lambda", "3,1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -271,6 +272,19 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().strip() == "4"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # A directory, or a path whose parent is missing, cannot be written.
+    for target in (tmp_path, tmp_path / "missing" / "report.txt"):
+        for command in ("dim", "certify"):
+            code = main([command, "--lambda", "3,1", "--nu", "4,2,2", "--out", str(target)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {target}: ")
+            assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_lambda_defaults(capsys):

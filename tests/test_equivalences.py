@@ -277,9 +277,11 @@ def test_certificate_at_t_one_runs_beyond_eight_cells():
 
 
 def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
-    real = PasmPolytope.fixed_zero_cells
-    monkeypatch.setattr(PasmPolytope, "fixed_zero_cells",
-                        lambda self: real(self) | {(2, 5)})
+    # On (4,2,2)/(3,1) the entry (2, 5) is -H(2, 4), so pinning H(2, 4) to 0
+    # cuts off the vertices with a nonzero entry there.
+    real = PasmPolytope._bounds
+    monkeypatch.setattr(PasmPolytope, "_bounds",
+                        lambda self: {**real(self), ("H", 2, 4): (0, 0)})
     poly = example_polytope()
     report = certify_integral_equivalence(poly, 2)
     assert report["affine_unimodular"] is False
@@ -288,6 +290,22 @@ def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
     assert V in poly.vertices()
     assert V.entry(2, 5) != 0
     assert not certificate_passes(report)
+
+
+def test_certificate_fails_when_any_two_valued_bound_is_narrowed(monkeypatch):
+    # Every {0, 1} edge of the face labeling takes both values on the
+    # vertices, so pinning it to either value cuts off a vertex.
+    real = PasmPolytope._bounds
+    poly = example_polytope()
+    two_valued = [edge for edge, (lo, hi) in real(poly).items() if lo < hi]
+    assert len(two_valued) == 14
+    for edge in two_valued:
+        for value in (0, 1):
+            narrowed = {**real(poly), edge: (value, value)}
+            monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
+            report = certify_integral_equivalence(poly, 2)
+            assert report["affine_unimodular"] is False, (edge, value)
+            assert not certificate_passes(report)
 
 
 def test_certificate_catches_a_wrong_inverse(monkeypatch):

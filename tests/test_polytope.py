@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 import pytest
@@ -35,6 +36,41 @@ def example_polytope():
     return PasmPolytope(EXAMPLE)
 
 
+# The paper's form of the inequality description, which the library states
+# as per-edge bounds on the partial sums: entries in the lam region
+# (j <= lam_i) and strictly east of the border strip of nu
+# (j > nu_{i-1} + 1, with nu_0 := nu_1) are 0.
+def _fixed_zeros(shape: SkewShape) -> frozenset[tuple[int, int]]:
+    lam, nu = shape.lam, shape.nu
+    return frozenset(
+        (i, j)
+        for i in range(1, shape.m + 1)
+        for j in range(1, shape.n + 1)
+        if j <= lam.part(i) or j > nu.part(max(i - 1, 1)) + 1
+    )
+
+
+def _zero_form_member(poly: PasmPolytope, X: Matrix) -> bool:
+    """Membership by the paper's form: the fixed zeros, every partial sum in
+    [0, 1], the first row and column summing to 1 and the others to 0."""
+    if any(X.entry(i, j) != 0 for (i, j) in _fixed_zeros(poly.shape)):
+        return False
+    col = [0] * (poly.n + 1)
+    for i in range(1, poly.m + 1):
+        row_sum = 0
+        for j in range(1, poly.n + 1):
+            x = X.entry(i, j)
+            row_sum += x
+            col[j] += x
+            if not (0 <= row_sum <= 1) or not (0 <= col[j] <= 1):
+                return False
+        if row_sum != (1 if i == 1 else 0):
+            return False
+    if col[1] != 1:
+        return False
+    return all(col[j] == 0 for j in range(2, poly.n + 1))
+
+
 # The cell-by-cell scan that the row-memoized scan replaced, kept as the
 # oracle it must match point for point and in order.
 def _scan_integer_points(poly: PasmPolytope, t: int) -> Iterator[Matrix]:
@@ -44,7 +80,7 @@ def _scan_integer_points(poly: PasmPolytope, t: int) -> Iterator[Matrix]:
     row 1 and 0 otherwise, column targets t for column 1 and 0 otherwise.
     """
     m, n = poly.m, poly.n
-    zeros = poly.fixed_zero_cells()
+    zeros = _fixed_zeros(poly.shape)
     free_in_row_after = [[0] * (n + 2) for _ in range(m + 1)]
     for i in range(1, m + 1):
         for j in range(n, 0, -1):
@@ -106,6 +142,14 @@ def _scan_integer_points(poly: PasmPolytope, t: int) -> Iterator[Matrix]:
     yield from rec(1, 1, 0)
 
 
+def _in_three_boxes(shape: SkewShape) -> tuple[SkewShape, ...]:
+    """The shape in its minimal box, with one more row, and with two more
+    columns."""
+    return (shape,
+            SkewShape(shape.nu, shape.lam, shape.m + 1, shape.n),
+            SkewShape(shape.nu, shape.lam, shape.m, shape.n + 2))
+
+
 def test_satisfies_inequalities_on_vertices():
     poly = example_polytope()
     for M in VERTICES_422_31.values():
@@ -122,6 +166,64 @@ def test_satisfies_inequalities_fixed_zero_violation():
     poly = PasmPolytope(SkewShape(Partition([1]), Partition([1]), 2, 2))
     assert not poly.satisfies_inequalities(Matrix([[1, 0], [0, 0]]))
     assert poly.satisfies_inequalities(Matrix([[0, 1], [1, -1]]))
+
+
+def _exchange(X: Matrix, i: int, k: int, j: int, l: int, delta: F) -> Matrix:
+    """X plus delta at the 0-based cells (i, j) and (k, l), minus delta at
+    (i, l) and (k, j): every line sum stays."""
+    rows = [list(r) for r in X.rows]
+    rows[i][j] += delta
+    rows[i][l] -= delta
+    rows[k][j] -= delta
+    rows[k][l] += delta
+    return Matrix(rows)
+
+
+@st.composite
+def points_near_the_polytope(draw):
+    """A shape in a box at least its minimal one, and a vertex or a rational
+    convex combination of vertices, as it is, with one entry moved, or moved
+    by a 2 x 2 exchange that keeps every line sum."""
+    minimal = draw(st.sampled_from(all_skew_shapes(5)))
+    shape = SkewShape(minimal.nu, minimal.lam,
+                      minimal.m + draw(st.integers(0, 2)), minimal.n + draw(st.integers(0, 2)))
+    verts = PasmPolytope(shape).vertices()
+    picked = draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(picked), max_size=len(picked)))
+    X = convex_combination([F(w, sum(weights)) for w in weights], picked)
+    move = draw(st.sampled_from(["none", "entry", "exchange"]))
+    if move != "none":
+        i, k = draw(st.integers(0, shape.m - 1)), draw(st.integers(0, shape.m - 1))
+        j, l = draw(st.integers(0, shape.n - 1)), draw(st.integers(0, shape.n - 1))
+        delta = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 3)]))
+        if move == "exchange":
+            X = _exchange(X, i, k, j, l, delta)
+        else:
+            rows = [list(r) for r in X.rows]
+            rows[i][j] += delta
+            X = Matrix(rows)
+    return PasmPolytope(shape), X
+
+
+@given(points_near_the_polytope())
+def test_membership_matches_the_zero_form(instance):
+    poly, X = instance
+    assert poly.satisfies_inequalities(X) == _zero_form_member(poly, X)
+
+
+def test_membership_matches_the_zero_form_near_the_centroid():
+    # Exchanges keep the line sums, so only the partial-sum bounds and the
+    # fixed zeros decide these points.
+    for minimal in all_skew_shapes(4):
+        for shape in _in_three_boxes(minimal):
+            poly = PasmPolytope(shape)
+            verts = poly.vertices()
+            centroid = convex_combination([F(1, len(verts))] * len(verts), verts)
+            for i, k in combinations(range(shape.m), 2):
+                for j, l in combinations(range(shape.n), 2):
+                    for delta in (F(1, 2), F(-1, 2)):
+                        X = _exchange(centroid, i, k, j, l, delta)
+                        assert poly.satisfies_inequalities(X) == _zero_form_member(poly, X), (shape, X)
 
 
 def test_satisfies_inequalities_dimension_mismatch():
@@ -168,12 +270,13 @@ def test_integer_points_brute_examples():
 
 
 def test_scan_matches_cell_by_cell_oracle_sweep():
-    for shape in all_skew_shapes(7):
-        if shape.size > 8:
+    for minimal in all_skew_shapes(7):
+        if minimal.size > 8:
             continue
-        poly = PasmPolytope(shape)
-        for t in range(4):
-            assert poly.dilate_integer_points(t) == list(_scan_integer_points(poly, t)), (shape, t)
+        for shape in _in_three_boxes(minimal):
+            poly = PasmPolytope(shape)
+            for t in range(4):
+                assert poly.dilate_integer_points(t) == list(_scan_integer_points(poly, t)), (shape, t)
 
 
 @st.composite
@@ -208,8 +311,10 @@ def _assert_t_at_most_one_scans_list_the_vertices(poly):
 
 
 def test_integer_points_equal_vertices_sweep():
-    # Computational verification of the inequality description.
-    for shape in all_skew_shapes(7):
+    # Computational verification of the inequality description.  The t = 1
+    # scan lists exactly the partial ASMs that fit the face labeling, so this
+    # is also the check that the polytope is that face of PASM(m, n).
+    for shape in all_skew_shapes(8):
         _assert_t_at_most_one_scans_list_the_vertices(PasmPolytope(shape))
 
 
