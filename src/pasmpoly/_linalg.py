@@ -7,13 +7,14 @@ floating point is used.
 
 ``rank`` keeps an incremental Gauss-Jordan basis of sparse rows
 (``{column: int}``), so its cost follows the nonzero entries, not the
-dense shape: the vertex matrices of the polytope have at most 2m - 1
-nonzeros each.  Every basis row is divided by its content (the gcd of its
-entries) after each update, so it stays primitive.  The basis is reduced:
-its pivot columns are zero in every other basis row, so each basis row is,
-up to sign, the primitive integer vector of the row span that vanishes on
-the other pivot columns.  By Cramer's rule its entries are bounded by
-r x r minors of the scaled input, the same bound as for Bareiss
+dense shape.  It takes dense rows, which it sparsifies, or sparse int rows
+as they are: the polytope's dimension hands it its vertex rows, with at
+most 2m - 1 nonzeros each.  Every basis row is divided by its content (the
+gcd of its entries) after each update, so it stays primitive.  The basis is
+reduced: its pivot columns are zero in every other basis row, so each basis
+row is, up to sign, the primitive integer vector of the row span that
+vanishes on the other pivot columns.  By Cramer's rule its entries are
+bounded by r x r minors of the scaled input, the same bound as for Bareiss
 elimination.
 
 The phase-1 simplex is fraction-free in the sense of Bareiss (Math. Comp.
@@ -24,9 +25,12 @@ each division by the previous pivot is exact.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .matrices import Scalar
+
+# A dense row of int or Fraction entries, or a sparse int row {column: nonzero int}.
+Row = Sequence[Scalar] | dict[int, int]
 
 
 def _integer_row(row: Sequence[Scalar]) -> list[int]:
@@ -57,13 +61,15 @@ def _reduce(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(out)
 
 
-def _reduced_basis(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
-    """A reduced basis of the row span, as {pivot column: primitive sparse row}."""
+def _reduced_basis(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
+    """A reduced basis of the row span, as {pivot column: primitive sparse row}.
+    A dense row is sparsified first; a sparse int row is used as it is and
+    is not changed."""
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
-        vec = {j: x for j, x in enumerate(row) if x}
-        den = lcm(*(x.denominator for x in vec.values()))
-        vec = _primitive({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
+        if not isinstance(row, dict):
+            row = {j: x for j, x in enumerate(_integer_row(row)) if x}
+        vec = _primitive(row)
         # A basis row is zero on the other pivots, so eliminating one pivot
         # never brings back another: one pass over the row's support is enough.
         for c in [j for j in vec if j in basis]:
@@ -78,17 +84,9 @@ def _reduced_basis(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]
     return basis
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+def rank(rows: Iterable[Row]) -> int:
     """Rank of the row span, by sparse Gauss-Jordan elimination."""
     return len(_reduced_basis(rows))
-
-
-def affine_rank(points: Sequence[Sequence[Scalar]]) -> int:
-    """Dimension of the affine hull of the given points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
 def _phase1_simplex(tab: list[list[int]]) -> bool:

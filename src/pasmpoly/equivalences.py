@@ -13,13 +13,15 @@ no randomness.
 
 from __future__ import annotations
 
-from .matrices import Matrix, Scalar, _corner_rows, corner_sums, inverse_corner_sums
-from .polytope import PasmPolytope
+from typing import Sequence
+
+from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_rows
+from .polytope import PasmPolytope, _dense, _within
 from .shapes import Cell
 from .skewposet import (
     SkewPoset,
+    _ideals,
     build_poset,
-    enumerate_filters,
     enumerate_order_preserving_maps,
     in_order_polytope,
 )
@@ -32,8 +34,13 @@ def to_order_point(X: Matrix, poly: PasmPolytope) -> PosetPoint:
     polytope of the cell poset."""
     if not poly.satisfies_inequalities(X):
         raise ValueError("matrix is not a point of the polytope")
-    C = corner_sums(X)
-    return {(i, j): C.entry(i, j) for (i, j) in poly.shape.cells()}
+    return _corner_point(X.rows, poly.shape.cells())
+
+
+def _corner_point(rows: Sequence[Sequence[Scalar]], cells: Sequence[Cell]) -> PosetPoint:
+    """The corner sums of the grid on the given cells."""
+    C = _corner_rows(rows)
+    return {(i, j): C[i - 1][j - 1] for (i, j) in cells}
 
 
 def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
@@ -47,22 +54,20 @@ def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
 
 
 def _from_order_point(g: PosetPoint, poly: PasmPolytope, P: SkewPoset) -> Matrix:
-    """:func:`from_order_point`, given the cell poset P of the shape."""
+    """:func:`from_order_point`, given the cell poset P of the shape.  A point
+    with int values, such as a vertex image, stays in ints throughout."""
     if not in_order_polytope(P, g):
         raise ValueError("point is not in the order polytope")
-    lam, nu = poly.shape.lam, poly.shape.nu
-    rows = []
+    lam, nu, n = poly.shape.lam, poly.shape.nu, poly.n
+    # The cells of row i are lam_i < j <= nu_i, consecutive in row-major order.
+    vals = list(map(g.__getitem__, P.elements))
+    grid, k = [], 0
     for i in range(1, poly.m + 1):
-        row = []
-        for j in range(1, poly.n + 1):
-            if j <= lam.part(i):
-                row.append(0)
-            elif j <= nu.part(i):
-                row.append(g[(i, j)])
-            else:
-                row.append(1)
-        rows.append(row)
-    return inverse_corner_sums(Matrix(rows))
+        a, b = lam.part(i), nu.part(i)
+        grid.append([0] * a + vals[k:k + b - a] + [1] * (n - b))
+        k += b - a
+    rows = _inverse_corner_rows(grid)
+    return Matrix._of_ints(rows) if set(map(type, g.values())) <= {int} else Matrix(rows)
 
 
 def complete_to_asm(M: Matrix) -> Matrix:
@@ -94,7 +99,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       injective on the hull with an integral affine inverse.  A vertex
       outside the inequality description fails here too;
     * the corner-sum map bijects vertices onto the filter indicators of the
-      cell poset;
+      cell poset: the zeros of the images are exactly its order ideals;
     * for each t <= t_max, it bijects the integer points of the t-th dilate
       onto the order-preserving maps into {0, ..., t}.
 
@@ -120,21 +125,30 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         report["counterexample"] = detail
         return report
 
-    # Round trip of every vertex through the library's own inverse map.
+    # Round trip of every vertex through the library's own inverse map, on
+    # the int rows of the vertex: the membership test of to_order_point on
+    # the list-indexed bound table, then its corner sums.
+    bounds = poly._bound_lists()
     images = []
-    for V in poly.vertices():
-        try:
-            g = to_order_point(V, poly)
-            back = _from_order_point(g, poly, P)
-        except ValueError:
-            back = None
-        if back != V:
-            return fail("affine_unimodular", {"vertex": V.to_json_dict()})
-        images.append(tuple(g[c] for c in cells))
+    for entries in poly._vertex_rows():
+        rows = _dense(entries, poly.m, poly.n)
+        back = None
+        if _within(bounds, rows):
+            g = _corner_point(rows, cells)
+            try:
+                back = _from_order_point(g, poly, P)
+            except ValueError:
+                pass
+        if back is None or back.rows != rows:
+            return fail("affine_unimodular", {"vertex": Matrix._of_ints(rows).to_json_dict()})
+        images.append(tuple(g.values()))
 
-    # Vertices correspond to filter indicators, bijectively.
-    indicators = {tuple(int(c in f) for c in cells) for f in enumerate_filters(P)}
-    if len(set(images)) != len(images) or set(images) != indicators:
+    # Vertices correspond to filter indicators, bijectively.  After the round
+    # trip every image is an int point of the order polytope, so a 0/1 point;
+    # its zeros are the complement of a filter, an order ideal of P, compared
+    # as a bitmask over the cells.
+    zeros = {sum(1 << k for k, v in enumerate(image) if not v) for image in images}
+    if len(set(images)) != len(images) or zeros != set(_ideals(P)):
         return fail("vertex_bijection", {"images": sorted(set(images))})
 
     # Lattice points of dilates correspond to order-preserving maps into

@@ -18,13 +18,6 @@ from .shapes import Partition
 Labeling = dict[Edge, frozenset[int]]
 
 
-def grid_edges(m: int, n: int) -> list[Edge]:
-    """All 2mn edges of the grid graph, horizontals first."""
-    hs = [("H", i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    vs = [("V", i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return hs + vs
-
-
 def edge_endpoints(edge: Edge) -> tuple[tuple[int, int], tuple[int, int]]:
     kind, i, j = edge
     if kind == "H":

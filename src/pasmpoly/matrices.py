@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .shapes import Partition
@@ -40,6 +40,16 @@ class Matrix:
         self.rows: tuple[tuple[Scalar, ...], ...] = rs
         self.m = len(rs)
         self.n = len(rs[0])
+
+    @classmethod
+    def _of_ints(cls, rows: Iterable[Iterable[int]]) -> "Matrix":
+        """A matrix from int rows of equal, positive length that the caller
+        built itself: no entry is checked."""
+        M = cls.__new__(cls)
+        M.rows = tuple(map(tuple, rows))
+        M.m = len(M.rows)
+        M.n = len(M.rows[0])
+        return M
 
     def entry(self, i: int, j: int) -> Scalar:
         """1-based entry access."""
@@ -168,14 +178,18 @@ def corner_sums(M: Matrix) -> Matrix:
     return Matrix(_corner_rows(M.rows))
 
 
+def _inverse_corner_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+    """Finite-difference inverse of :func:`_corner_rows`: the difference with
+    the row above, then with the column to the west."""
+    out = []
+    above = (0,) * len(rows[0])
+    for row in rows:
+        down = list(map(sub, row, above))
+        out.append(tuple(map(sub, down, [0, *down[:-1]])))
+        above = row
+    return tuple(out)
+
+
 def inverse_corner_sums(C: Matrix) -> Matrix:
     """Finite-difference inverse of :func:`corner_sums`."""
-    def c(i: int, j: int) -> Scalar:
-        return C.rows[i - 1][j - 1] if i >= 1 and j >= 1 else 0
-
-    return Matrix(
-        [
-            [c(i, j) - c(i - 1, j) - c(i, j - 1) + c(i - 1, j - 1) for j in range(1, C.n + 1)]
-            for i in range(1, C.m + 1)
-        ]
-    )
+    return Matrix(_inverse_corner_rows(C.rows))

@@ -11,12 +11,19 @@ condition holds and 0 otherwise, its inequality description is
 * V(i, j) in [ [lam_i = nu_i and j = nu_i + 1], [lam_i < j <= nu_i + 1] ].
 
 These bounds are the face labeling.  PasmPolytope keeps them as one table,
-(lo, hi) per grid edge, which the membership test, the integer-point scan
-and facelattice.face_labeling all read.  They fix the line sums
+(lo, hi) per grid edge, which facelattice.face_labeling reads; the
+membership test and the integer-point scan read it as flat lists in the
+index order of the vertex rows.  They fix the line sums
 (H(1, n) = V(m, 1) = 1, the other full sums 0) and the zeros in the lam
 region and east of the border strip of nu.  The test suite pins them to
 the paper's form: those fixed zeros, partial sums in [0, 1] and the line
 sums.
+
+Inside the package the vertices are held as sparse int rows, one
+{i * n + j: +-1} dict per profile with at most 2m - 1 nonzeros, walked
+straight from the parts of each partition.  The dimension comes from
+their sparse rank, and the equivalence certificate runs its round trip on
+them; vertices() wraps them in Matrix only for the public API.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned row
 by row (the transfer-matrix method): the state before a row is the vector
@@ -30,11 +37,13 @@ t >= 2 pass a guardrail.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import accumulate, chain
+from operator import add, le
+from typing import Iterator, NamedTuple, Sequence
 
-from ._linalg import affine_rank, convex_combination_exists
-from .matrices import Matrix, Scalar, column_partial_sums, row_partial_sums, vertex_matrix
-from .shapes import Cell, SkewShape, enumerate_between
+from ._linalg import convex_combination_exists, rank
+from .matrices import Matrix, Scalar
+from .shapes import SkewShape
 
 DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
@@ -92,31 +101,52 @@ class PasmPolytope:
             self._table = table
         return self._table
 
-    def free_cells(self) -> tuple[Cell, ...]:
-        """The cells of nu/lam and the border strip of nu, in row-major order:
-        the entries the inequality description does not fix to zero."""
-        return tuple(sorted(set(self.shape.cells()) | self.shape.border_strip()))
+    def _bound_lists(self, t: int = 1) -> tuple[list[int], ...]:
+        """The bound table times t, as the lists (lo_H, hi_H, lo_V, hi_V),
+        each indexed by (i - 1) * n + (j - 1) like the sparse vertex rows.
+        Built from _bounds() on each call."""
+        bounds = self._bounds()
+        edges = [(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1)]
+        return tuple([t * bounds[kind, i, j][side] for i, j in edges]
+                     for kind in "HV" for side in (0, 1))
 
     def satisfies_inequalities(self, X: Matrix) -> bool:
         """Exact membership test against the inequality description."""
         if X.m != self.m or X.n != self.n:
             raise ValueError(f"expected a {self.m}x{self.n} matrix, got {X.m}x{X.n}")
-        sums: dict[Edge, Scalar] = {}
-        for i in range(1, self.m + 1):
-            for j, s in enumerate(row_partial_sums(X, i), start=1):
-                sums["H", i, j] = s
-        for j in range(1, self.n + 1):
-            for i, s in enumerate(column_partial_sums(X, j), start=1):
-                sums["V", i, j] = s
-        return all(lo <= sums[edge] <= hi for edge, (lo, hi) in self._bounds().items())
+        return _within(self._bound_lists(), X.rows)
+
+    def _vertex_rows(self) -> Iterator[dict[int, int]]:
+        """The profile of every partition mu between lam and nu, as a sparse
+        row {i * n + j: entry} over the 0-based cells (i, j), in the
+        lexicographic order of shapes.enumerate_between.
+
+        mu is walked as parts mu_1..mu_m (mu_m = 0): row 0 holds 1 at
+        mu_1, and row k >= 1 holds 1 at mu_{k+1} and -1 at mu_k when
+        mu_k > mu_{k+1}, so the row is complete once mu_m is placed.
+        """
+        m, n = self.m, self.n
+        lam = [self.shape.lam.part(k) for k in range(1, m + 1)]
+        nu = [self.shape.nu.part(k) for k in range(1, m + 1)]
+
+        def walk(k: int, prev: int, entries: tuple) -> Iterator[dict[int, int]]:
+            # prev is mu_k; entries holds the nonzeros of rows < k.
+            if k == m:
+                yield dict(entries)
+                return
+            base = k * n
+            for part in range(lam[k], min(nu[k], prev) + 1):
+                step = ((base + part, 1), (base + prev, -1)) if part < prev else ()
+                yield from walk(k + 1, part, entries + step)
+
+        for first in range(lam[0], nu[0] + 1):
+            yield from walk(1, first, ((first, 1),))
 
     def vertices(self) -> list[Matrix]:
         """Profile matrices of all partitions between lam and nu."""
         if self._vertices is None:
-            self._vertices = [
-                vertex_matrix(mu, self.m, self.n)
-                for mu in enumerate_between(self.shape.lam, self.shape.nu)
-            ]
+            m, n = self.m, self.n
+            self._vertices = [Matrix._of_ints(_dense(v, m, n)) for v in self._vertex_rows()]
         return list(self._vertices)
 
     def _scan_rows(self, t: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -131,13 +161,9 @@ class PasmPolytope:
         memoized, so the walk descends one row, not one cell, at a time.
         """
         m, n = self.m, self.n
-        bounds = self._bounds()
-        # scaled[i][k][j]: t * (lo_H, hi_H, lo_V, hi_V)[k] at (i + 1, j + 1).
-        scaled = [
-            [[t * bounds[kind, i, j][side] for j in range(1, n + 1)]
-             for kind in "HV" for side in (0, 1)]
-            for i in range(1, m + 1)
-        ]
+        # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t.
+        bounds = self._bound_lists(t)
+        scaled = [tuple(b[i * n:(i + 1) * n] for b in bounds) for i in range(m)]
 
         def feasible_rows(i: int, cols: tuple[int, ...]) -> list:
             """Rows i (0-based) that extend a point whose column partial sums are
@@ -177,13 +203,14 @@ class PasmPolytope:
 
         yield from walk(0, (0,) * n, ())
 
-    def integer_points_brute(self) -> list[Matrix]:
-        """Exhaustive integer scan of the inequality system at t = 1."""
-        return self.dilate_integer_points(1)
-
     def dimension(self) -> int:
-        """Affine dimension of the vertex set, by exact rank computation."""
-        return affine_rank([v.flatten() for v in self.vertices()])
+        """Affine dimension of the vertex set, by exact rank computation.
+
+        The entries of every vertex sum to 1, so the affine hull misses the
+        origin and the linear span of the vertices is one dimension larger:
+        the dimension is the rank of the sparse vertex rows, minus 1.
+        """
+        return rank(self._vertex_rows()) - 1
 
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.
@@ -214,6 +241,24 @@ class PasmPolytope:
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"
+
+
+def _dense(entries: dict[int, int], m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The m x n rows of a sparse row {i * n + j: entry}."""
+    flat = [0] * (m * n)
+    for k, x in entries.items():
+        flat[k] = x
+    return tuple(tuple(flat[k:k + n]) for k in range(0, m * n, n))
+
+
+def _within(bound_lists: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:
+    """True iff every row and column partial sum of the grid lies within the
+    bounds of PasmPolytope._bound_lists."""
+    lo_h, hi_h, lo_v, hi_v = bound_lists
+    h = list(chain.from_iterable(map(accumulate, rows)))
+    v = list(chain.from_iterable(accumulate(rows, lambda a, b: list(map(add, a, b)))))
+    return (all(map(le, lo_h, h)) and all(map(le, h, hi_h))
+            and all(map(le, lo_v, v)) and all(map(le, v, hi_v)))
 
 
 def is_extreme(X: Matrix, others: list[Matrix]) -> bool:

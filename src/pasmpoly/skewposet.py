@@ -8,7 +8,6 @@ extension; that fact is exploited throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .matrices import Scalar
@@ -101,35 +100,42 @@ def build_poset(shape: SkewShape) -> SkewPoset:
 
 def in_order_polytope(P: SkewPoset, f: Mapping[Cell, Scalar]) -> bool:
     """True iff f maps every element into [0,1] monotonically along covers."""
-    vals = []
-    for c in P.elements:
-        if c not in f:
-            raise ValueError(f"point is missing a value for element {c}")
-        vals.append(f[c])
-    if any(v < 0 or v > 1 for v in vals):
+    try:
+        vals = list(map(f.__getitem__, P.elements))
+    except KeyError as exc:
+        raise ValueError(f"point is missing a value for element {exc.args[0]}") from None
+    if vals and (min(vals) < 0 or max(vals) > 1):
         return False
     return all(vals[a] <= vals[b] for a, b in P.covers)
+
+
+def _ideals(P: SkewPoset) -> list[int]:
+    """The down-closed subsets of P, as bitmasks over elements.
+
+    Ideals are grown one element at a time in row-major order, so every
+    ideal comes after the ideals it contains: the list starts with the
+    empty ideal and ends with all of P.
+    """
+    ideals = [0]
+    for x in range(len(P)):
+        below = sum(1 << a for a in P.lower_covers(x))
+        ideals += [I | 1 << x for I in ideals if I & below == below]
+    return ideals
 
 
 def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The lattice J(P) of down-closed subsets, as bitmasks over elements.
 
-    Returns ``(ideals, covers)``.  ``covers[x]`` lists the pairs ``(i, j)``
-    with ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
-    increasing i; every lower cover comes before its ideal, so ``ideals[0]``
-    is empty and ``ideals[-1]`` is all of P.  Ideals are grown one element
-    at a time in row-major order: since that order is a linear extension,
-    an ideal's largest element is maximal in it and removing it leaves an
-    ideal that is already listed.
+    Returns ``(ideals, covers)``, the ideals as listed by :func:`_ideals`.
+    ``covers[x]`` lists the pairs ``(i, j)`` with ``ideals[j] == ideals[i] -
+    {x}`` and x maximal in ``ideals[i]``, in increasing i.  Since row-major
+    order is a linear extension, an ideal's largest element is maximal in
+    it and removing it leaves an ideal that is already listed.
     """
-    d = len(P)
-    ideals = [0]
-    for x in range(d):
-        below = sum(1 << a for a in P.lower_covers(x))
-        ideals += [I | 1 << x for I in ideals if I & below == below]
+    ideals = _ideals(P)
     index = {I: k for k, I in enumerate(ideals)}
     covers = []
-    for x in range(d):
+    for x in range(len(P)):
         bit = 1 << x
         above = sum(1 << b for b in P.upper_covers(x))
         covers.append([(i, index[I ^ bit]) for i, I in enumerate(ideals)
@@ -208,14 +214,9 @@ def order_polynomial_value(P: SkewPoset, t: int) -> int:
 def enumerate_filters(P: SkewPoset) -> list[frozenset[Cell]]:
     """All up-closed subsets; indicator functions of these are exactly the
     0/1 points of the order polytope."""
-    ideals, _ = _ideal_lattice(P)
     filters = [frozenset(c for k, c in enumerate(P.elements) if not I >> k & 1)
-               for I in ideals]
+               for I in _ideals(P)]
     return sorted(filters, key=lambda s: (len(s), sorted(s)))
-
-
-def filter_indicator(P: SkewPoset, filt: frozenset[Cell]) -> dict[Cell, int]:
-    return {c: (1 if c in filt else 0) for c in P.elements}
 
 
 class UniPoly:
@@ -276,20 +277,3 @@ def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
         coeffs = [a - x * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
         coeffs[0] += c
     return UniPoly(coeffs)
-
-
-def order_polynomial(P: SkewPoset) -> UniPoly:
-    """The order polynomial of P, interpolated from |P|+1 exact values."""
-    values = order_polynomial_values(P, len(P) + 1)
-    return interpolate_polynomial(list(enumerate(values, start=1)))
-
-
-def leading_term_check(P: SkewPoset) -> bool:
-    """Degree-|P| leading coefficient of the order polynomial equals e(P)/|P|!."""
-    poly = order_polynomial(P)
-    d = len(P)
-    if d == 0:
-        return poly == UniPoly([1])
-    return poly.degree == d and poly.leading_coefficient == Fraction(
-        count_linear_extensions(P), factorial(d)
-    )

@@ -1,9 +1,15 @@
-"""Rational points of a polytope, built in ``Fraction`` arithmetic from its
-vertex matrices."""
+"""Test points: rational points of a polytope, built in ``Fraction``
+arithmetic from its vertex matrices, and the 0/1 points of an order
+polytope."""
 
 from fractions import Fraction
 
 from pasmpoly import Matrix
+
+
+def filter_indicator(P, filt) -> dict:
+    """The 0/1 point of the order polytope of P that is 1 exactly on filt."""
+    return {c: (1 if c in filt else 0) for c in P.elements}
 
 
 def convex_combination(weights, mats) -> Matrix:

@@ -30,7 +30,6 @@ from pasmpoly import (
     vertex_matrix,
 )
 from pasmpoly.equivalences import certificate_passes, certify_integral_equivalence
-from pasmpoly.skewposet import filter_indicator
 
 from families import all_skew_shapes, staircase
 from golden import (
@@ -41,6 +40,7 @@ from golden import (
     RATIONAL_POINT_422_31,
     VERTICES_422_31,
 )
+from points import filter_indicator
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_criterion_02_vertex_census():
     t0 = time.perf_counter()
     poly = PasmPolytope(EXAMPLE)
     verts = set(poly.vertices())
-    scanned = set(poly.integer_points_brute())
+    scanned = set(poly.dilate_integer_points(1))
     elapsed = time.perf_counter() - t0
     ok = (
         verts == set(VERTICES_422_31.values())

@@ -10,10 +10,14 @@ from pasmpoly import (
     SkewShape,
     build_poset,
     count_linear_extensions,
+    enumerate_between,
+    vertex_matrix,
 )
 from pasmpoly.cli import main
 
+from families import all_skew_shapes
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
+from test_linalg import fraction_rank
 
 
 def run(capsys, *argv):
@@ -37,6 +41,31 @@ def test_vertices_text(capsys):
     code, out = run(capsys, "vertices", "--lambda", "3,1", "--nu", "4,2,2")
     assert code == 0
     assert "count: 10" in out
+
+
+def test_vertex_commands_match_output_rendered_from_the_oracle(capsys):
+    # Every command that lists or counts the vertices, byte for byte against
+    # output rendered from vertex_matrix over enumerate_between.
+    for shape in all_skew_shapes(6) + [SkewShape(Partition([6] * 5), Partition())]:
+        verts = [vertex_matrix(mu, shape.m, shape.n)
+                 for mu in enumerate_between(shape.lam, shape.nu)]
+        flat = [v.flatten() for v in verts]
+        dim = fraction_rank([[x - b for x, b in zip(p, flat[0])] for p in flat[1:]])
+        listed = [v.to_json_dict() for v in verts]
+        args = ["--nu", ",".join(map(str, shape.nu)), "--lambda", ",".join(map(str, shape.lam))]
+        text = "\n\n".join(v.pretty() for v in verts) + f"\n\ncount: {len(verts)}\n"
+        assert run(capsys, "vertices", *args) == (0, text)
+        listing = {"spec": shape.to_json(), "vertices": listed}
+        assert run(capsys, "vertices", *args, "--format", "json") == (
+            0, json.dumps(listing, indent=2) + "\n")
+        assert run(capsys, "dim", *args) == (0, f"{dim}\n")
+        code, out = run(capsys, "ehrhart", *args, "--format", "json")
+        report = {**json.loads(out), "vertices": listed, "dimension": dim}
+        assert (code, out) == (0, json.dumps(report, indent=2) + "\n")
+        count = len(verts)
+        assert run(capsys, "certify", *args, "--tmax", "1") == (
+            0, f"affine_unimodular: True\nvertex_bijection: True\n"
+               f"dilate_counts: [[1, {count}, {count}]]\nresult: pass\n")
 
 
 def test_volume(capsys):

@@ -20,7 +20,7 @@ from pasmpoly import (
 )
 from pasmpoly import equivalences
 from pasmpoly.equivalences import certificate_passes
-from pasmpoly.skewposet import filter_indicator
+from pasmpoly.matrices import column_partial_sums, row_partial_sums
 
 from families import all_skew_shapes, staircase
 from golden import (
@@ -29,7 +29,7 @@ from golden import (
     PARTIAL_4,
     RATIONAL_POINT_422_31,
 )
-from points import convex_combination
+from points import convex_combination, filter_indicator
 
 F = Fraction
 
@@ -246,6 +246,19 @@ def test_certificate_catches_a_repeated_point(monkeypatch):
     assert not certificate_passes(report)
 
 
+def test_certificate_catches_a_dropped_or_repeated_vertex(monkeypatch):
+    # The vertex images must be the filter indicators, each exactly once.
+    real = PasmPolytope._vertex_rows
+    for corrupt in (lambda rows: rows[1:], lambda rows: rows + rows[:1]):
+        monkeypatch.setattr(PasmPolytope, "_vertex_rows",
+                            lambda self, corrupt=corrupt: iter(corrupt(list(real(self)))))
+        report = certify_integral_equivalence(example_polytope(), 1)
+        assert report["affine_unimodular"] is True
+        assert report["vertex_bijection"] is False
+        assert report["dilate_counts"] == []
+        assert not certificate_passes(report)
+
+
 def test_certificate_catches_a_corner_sum_out_of_range(monkeypatch):
     def inject(points, t, poly):
         # A first row of t + 1s puts every corner sum of row 1 above t.
@@ -306,6 +319,26 @@ def test_certificate_fails_when_any_two_valued_bound_is_narrowed(monkeypatch):
             report = certify_integral_equivalence(poly, 2)
             assert report["affine_unimodular"] is False, (edge, value)
             assert not certificate_passes(report)
+
+
+def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
+    # The vertex round trip runs on int rows: its membership test reads the
+    # list-indexed copy of _bounds(), not satisfies_inequalities.  Pinning
+    # one two-valued partial sum to 1 cuts off a vertex where it is 0.
+    def no_matrix_membership(self, X):
+        raise AssertionError("the round trip built a Matrix to test membership")
+
+    real = PasmPolytope._bounds
+    edge = next(e for e, (lo, hi) in real(example_polytope()).items() if lo < hi)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: {**real(self), edge: (1, 1)})
+    monkeypatch.setattr(PasmPolytope, "satisfies_inequalities", no_matrix_membership)
+    report = certify_integral_equivalence(example_polytope(), 1)
+    assert report["affine_unimodular"] is False
+    assert not certificate_passes(report)
+    V = Matrix.from_json_dict(report["counterexample"]["vertex"])
+    kind, i, j = edge
+    sums = row_partial_sums(V, i) if kind == "H" else column_partial_sums(V, j)
+    assert sums[(j if kind == "H" else i) - 1] == 0
 
 
 def test_certificate_catches_a_wrong_inverse(monkeypatch):

@@ -13,7 +13,6 @@ from pasmpoly import (
     vertex_matrix,
 )
 from pasmpoly.facelattice import (
-    grid_edges,
     labeling_to_dot,
     labeling_to_json,
 )
@@ -24,9 +23,18 @@ from golden import OUTLINE_31_4x5, OUTLINE_422_4x5, OUTLINE_SHARED_4x5
 EXAMPLE = SkewShape(Partition([4, 2, 2]), Partition([3, 1]), 4, 5)
 
 
+def grid_edges(m, n):
+    """All 2mn edges of the grid graph, horizontals first."""
+    hs = [("H", i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    vs = [("V", i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return hs + vs
+
+
 def test_grid_edges_count():
     assert len(grid_edges(4, 5)) == 2 * 4 * 5
     assert len(set(grid_edges(4, 5))) == 40
+    # The face labeling labels every grid edge, in the same order.
+    assert list(face_labeling(PasmPolytope(EXAMPLE))) == grid_edges(4, 5)
 
 
 def test_outline_edges_worked_example():

@@ -19,10 +19,11 @@ from pasmpoly import (
     truncated_dual,
 )
 from pasmpoly.flowpoly import FlowGraph, _compositions
-from pasmpoly.skewposet import SkewPoset, filter_indicator
+from pasmpoly.skewposet import SkewPoset
 
 from families import all_skew_shapes
 from golden import ORDER_POINT_422_31
+from points import filter_indicator
 
 F = Fraction
 

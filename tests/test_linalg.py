@@ -10,7 +10,6 @@ from pasmpoly import Partition, PasmPolytope, SkewShape
 from pasmpoly._linalg import (
     _integer_row,
     _reduced_basis,
-    affine_rank,
     convex_combination_exists,
     rank,
 )
@@ -141,6 +140,13 @@ def matrices(draw, entries=small_ints | small_fractions):
             s, t = draw(entries), draw(entries)
             rows.append([s * x + t * y for x, y in zip(u, v)])
     return draw(st.permutations(rows))
+
+
+def affine_rank(points):
+    """Dimension of the affine hull of the given points."""
+    if len(points) <= 1:
+        return 0
+    return rank([[x - b for x, b in zip(p, points[0])] for p in points[1:]])
 
 
 def test_rank_examples():

@@ -14,6 +14,7 @@ from pasmpoly import (
     SkewShape,
     build_poset,
     count_linear_extensions,
+    enumerate_between,
     interpolate_polynomial,
     is_extreme,
     order_polynomial_value,
@@ -25,7 +26,7 @@ from pasmpoly.polytope import DILATE_SIZE_LIMIT
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
 from points import convex_combination
-from test_linalg import fraction_convex_combination_exists
+from test_linalg import fraction_convex_combination_exists, fraction_rank
 
 F = Fraction
 
@@ -232,10 +233,11 @@ def test_satisfies_inequalities_dimension_mismatch():
 
 
 def test_free_cells_are_skew_cells_plus_strip():
+    # The entries the paper's zero form leaves free.
     for shape in all_skew_shapes(6):
-        poly = PasmPolytope(shape)
+        grid = {(i, j) for i in range(1, shape.m + 1) for j in range(1, shape.n + 1)}
         expected = set(shape.cells()) | set(shape.border_strip())
-        assert set(poly.free_cells()) == expected
+        assert grid - _fixed_zeros(shape) == expected
 
 
 def test_vertices_worked_example():
@@ -259,14 +261,14 @@ def test_vertices_staircase_catalan():
 
 def test_integer_points_brute_examples():
     poly = PasmPolytope(SkewShape(Partition([1]), Partition(), 2, 2))
-    assert set(poly.integer_points_brute()) == {
+    assert set(poly.dilate_integer_points(1)) == {
         Matrix([[1, 0], [0, 0]]),
         Matrix([[0, 1], [1, -1]]),
     }
     fixed = PasmPolytope(SkewShape(Partition([1]), Partition([1]), 2, 2))
-    assert fixed.integer_points_brute() == [Matrix([[0, 1], [1, -1]])]
+    assert fixed.dilate_integer_points(1) == [Matrix([[0, 1], [1, -1]])]
     point = PasmPolytope(SkewShape(Partition(), Partition(), 1, 1))
-    assert point.integer_points_brute() == [Matrix([[1]])]
+    assert point.dilate_integer_points(1) == [Matrix([[1]])]
 
 
 def test_scan_matches_cell_by_cell_oracle_sweep():
@@ -280,15 +282,15 @@ def test_scan_matches_cell_by_cell_oracle_sweep():
 
 
 @st.composite
-def boxed_skew_shapes(draw, rows=4, cols=5):
-    """A skew shape in an m x n box, m <= rows, n <= cols, within the dilate
-    scan's guardrail of 8 cells."""
+def boxed_skew_shapes(draw, rows=4, cols=5, max_size=DILATE_SIZE_LIMIT):
+    """A skew shape in an m x n box, m <= rows, n <= cols, of at most
+    max_size cells (by default the dilate scan's guardrail of 8)."""
     m = draw(st.integers(1, rows))
     n = draw(st.integers(1, cols))
     nu = sorted(draw(st.lists(st.integers(0, n - 1), min_size=m - 1, max_size=m - 1)), reverse=True)
     # Sorting a pointwise-smaller sequence keeps it inside nu.
     lam = sorted((draw(st.integers(0, part)) for part in nu), reverse=True)
-    assume(sum(nu) - sum(lam) <= DILATE_SIZE_LIMIT)
+    assume(sum(nu) - sum(lam) <= max_size)
     return SkewShape(Partition(nu), Partition(lam), m, n)
 
 
@@ -298,13 +300,24 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t):
     oracle = list(_scan_integer_points(poly, t))
     assert poly.dilate_integer_points(t) == oracle
     assert poly.dilate_lattice_points(t).count == len(oracle)
-    if t == 1:
-        assert poly.integer_points_brute() == oracle
+
+
+@given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
+def test_sparse_vertex_rows_match_the_profile_oracle(shape):
+    # The boxes are minimal or larger: nu may have fewer than m - 1 parts,
+    # and parts below n - 1.
+    poly = PasmPolytope(shape)
+    oracle = [vertex_matrix(mu, shape.m, shape.n) for mu in enumerate_between(shape.lam, shape.nu)]
+    verts = poly.vertices()
+    assert verts == oracle
+    assert all(v.is_integral() for v in verts)
+    flat = [v.flatten() for v in oracle]
+    diffs = [[x - b for x, b in zip(p, flat[0])] for p in flat[1:]]
+    assert poly.dimension() == fraction_rank(diffs)
 
 
 def _assert_t_at_most_one_scans_list_the_vertices(poly):
     verts = set(poly.vertices())
-    assert set(poly.integer_points_brute()) == verts
     assert set(poly.dilate_integer_points(1)) == verts
     assert poly.dilate_lattice_points(0).count == 1
     assert poly.dilate_lattice_points(1).count == len(verts)

@@ -19,14 +19,12 @@ from pasmpoly import (
 from pasmpoly.skewposet import (
     SkewPoset,
     enumerate_order_preserving_maps,
-    filter_indicator,
-    leading_term_check,
-    order_polynomial,
     order_polynomial_values,
 )
 
 from families import all_skew_shapes
 from golden import ORDER_POINT_422_31
+from points import filter_indicator
 
 F = Fraction
 
@@ -54,6 +52,23 @@ def brute_order_polynomial(P, t):
         if all(vals[a] <= vals[b] for a, b in P.covers):
             count += 1
     return count
+
+
+def order_polynomial(P):
+    """The order polynomial of P, interpolated from |P| + 1 exact values."""
+    values = order_polynomial_values(P, len(P) + 1)
+    return interpolate_polynomial(list(enumerate(values, start=1)))
+
+
+def leading_term_check(P):
+    """The degree-|P| coefficient of the order polynomial is e(P)/|P|!."""
+    poly = order_polynomial(P)
+    d = len(P)
+    if d == 0:
+        return poly == UniPoly([1])
+    return poly.degree == d and poly.leading_coefficient == Fraction(
+        count_linear_extensions(P), factorial(d)
+    )
 
 
 def lagrange_interpolate(values):
