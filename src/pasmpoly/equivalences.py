@@ -7,8 +7,9 @@ northwest corner sums to the skew cells.  On the polytope, corner sums are
 pinned to 0 on the lam region and to 1 everywhere east of the shape, which
 is what makes the map invertible.  The certificate checks the equivalence
 by the round trip through these two maps on every vertex, and by exact
-bijections on vertices and on the integer points of small dilates; it uses
-no randomness.
+bijections of the vertices and of the integer points of small dilates onto
+order-preserving maps, compared as value tuples over the skew cells; it
+uses no randomness.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Sequence
 from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_rows
 from .polytope import PasmPolytope, _dense, _within
 from .shapes import Cell
-from .skewposet import (
-    SkewPoset,
-    _ideals,
-    build_poset,
-    enumerate_order_preserving_maps,
-    in_order_polytope,
-)
+from .skewposet import build_poset, enumerate_order_preserving_maps, in_order_polytope
 
 PosetPoint = dict[Cell, Scalar]
 
@@ -34,13 +29,14 @@ def to_order_point(X: Matrix, poly: PasmPolytope) -> PosetPoint:
     polytope of the cell poset."""
     if not poly.satisfies_inequalities(X):
         raise ValueError("matrix is not a point of the polytope")
-    return _corner_point(X.rows, poly.shape.cells())
+    cells = poly.shape.cells()
+    return dict(zip(cells, _corner_image(X.rows, cells)))
 
 
-def _corner_point(rows: Sequence[Sequence[Scalar]], cells: Sequence[Cell]) -> PosetPoint:
-    """The corner sums of the grid on the given cells."""
+def _corner_image(rows: Sequence[Sequence[Scalar]], cells: Sequence[Cell]) -> tuple[Scalar, ...]:
+    """The corner sums of the grid on the given cells, in their order."""
     C = _corner_rows(rows)
-    return {(i, j): C[i - 1][j - 1] for (i, j) in cells}
+    return tuple(C[i - 1][j - 1] for (i, j) in cells)
 
 
 def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
@@ -50,24 +46,25 @@ def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
     j <= lam_i and 1 on cells with j > nu_i, the values forced on every
     polytope point, then finite-differenced back to a matrix.
     """
-    return _from_order_point(g, poly, build_poset(poly.shape))
-
-
-def _from_order_point(g: PosetPoint, poly: PasmPolytope, P: SkewPoset) -> Matrix:
-    """:func:`from_order_point`, given the cell poset P of the shape.  A point
-    with int values, such as a vertex image, stays in ints throughout."""
+    P = build_poset(poly.shape)
     if not in_order_polytope(P, g):
         raise ValueError("point is not in the order polytope")
+    return Matrix(_from_order_values(tuple(map(g.__getitem__, P.elements)), poly))
+
+
+def _from_order_values(vals: tuple[Scalar, ...],
+                       poly: PasmPolytope) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows of :func:`from_order_point`, given its values on the skew
+    cells in row-major order; int values give int rows.  The values are not
+    checked against the order polytope."""
     lam, nu, n = poly.shape.lam, poly.shape.nu, poly.n
     # The cells of row i are lam_i < j <= nu_i, consecutive in row-major order.
-    vals = list(map(g.__getitem__, P.elements))
     grid, k = [], 0
     for i in range(1, poly.m + 1):
         a, b = lam.part(i), nu.part(i)
-        grid.append([0] * a + vals[k:k + b - a] + [1] * (n - b))
+        grid.append((0,) * a + vals[k:k + b - a] + (1,) * (n - b))
         k += b - a
-    rows = _inverse_corner_rows(grid)
-    return Matrix._of_ints(rows) if set(map(type, g.values())) <= {int} else Matrix(rows)
+    return _inverse_corner_rows(grid)
 
 
 def complete_to_asm(M: Matrix) -> Matrix:
@@ -91,17 +88,23 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     """Computational certificate that the polytope and the order polytope of
     its cell poset are integrally equivalent.
 
-    Checks, all exact:
+    Every comparison is of value tuples over the skew cells in row-major
+    order: corner sums of points against order-preserving maps of the cell
+    poset, each set of maps enumerated once.  Checks, all exact:
 
     * every vertex V survives the round trip
-      ``from_order_point(to_order_point(V)) == V``.  Both maps are affine
-      and the vertices span the affine hull, so the corner-sum map is
-      injective on the hull with an integral affine inverse.  A vertex
-      outside the inequality description fails here too;
-    * the corner-sum map bijects vertices onto the filter indicators of the
-      cell poset: the zeros of the images are exactly its order ideals;
-    * for each t <= t_max, it bijects the integer points of the t-th dilate
-      onto the order-preserving maps into {0, ..., t}.
+      ``from_order_point(to_order_point(V)) == V``: V is within the
+      inequality description, and its image goes back to V through the
+      inverse kernel of :func:`from_order_point`.  Both maps are affine and
+      the vertices span the affine hull, so the corner-sum map is injective
+      on the hull with an integral affine inverse;
+    * the vertex images are distinct and are exactly the order-preserving
+      maps into {0, 1}, the filter indicators.  This puts every image in the
+      order polytope, so an image outside it fails here, not the round trip;
+    * for each t <= t_max, the integer points of the t-th dilate biject
+      onto the order-preserving maps into {0, ..., t}: the first point whose
+      image is not such a map is the counterexample, and the points are as
+      many as their distinct images and the maps.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail is applied to t_max before any other work; it refuses only
@@ -125,52 +128,40 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         report["counterexample"] = detail
         return report
 
-    # Round trip of every vertex through the library's own inverse map, on
-    # the int rows of the vertex: the membership test of to_order_point on
-    # the list-indexed bound table, then its corner sums.
+    def order_maps(t: int) -> set[tuple[int, ...]]:
+        """The order-preserving maps of P into {0, ..., t}."""
+        return {tuple(v - 1 for v in vals)
+                for vals in enumerate_order_preserving_maps(P, t + 1)}
+
+    # Round trip of every vertex on its int rows: the membership test of
+    # to_order_point on the list-indexed bound table, then the inverse of
+    # its corner-sum image.
     bounds = poly._bound_lists()
     images = []
     for entries in poly._vertex_rows():
         rows = _dense(entries, poly.m, poly.n)
-        back = None
-        if _within(bounds, rows):
-            g = _corner_point(rows, cells)
-            try:
-                back = _from_order_point(g, poly, P)
-            except ValueError:
-                pass
-        if back is None or back.rows != rows:
+        image = _corner_image(rows, cells)
+        if not _within(bounds, rows) or _from_order_values(image, poly) != rows:
             return fail("affine_unimodular", {"vertex": Matrix._of_ints(rows).to_json_dict()})
-        images.append(tuple(g.values()))
+        images.append(image)
 
-    # Vertices correspond to filter indicators, bijectively.  After the round
-    # trip every image is an int point of the order polytope, so a 0/1 point;
-    # its zeros are the complement of a filter, an order ideal of P, compared
-    # as a bitmask over the cells.
-    zeros = {sum(1 << k for k, v in enumerate(image) if not v) for image in images}
-    if len(set(images)) != len(images) or zeros != set(_ideals(P)):
-        return fail("vertex_bijection", {"images": sorted(set(images))})
+    filters = order_maps(1)
+    distinct = set(images)
+    if len(distinct) != len(images) or distinct != filters:
+        return fail("vertex_bijection", {"images": sorted(distinct)})
 
-    # Lattice points of dilates correspond to order-preserving maps into
-    # {0, ..., t}, bijectively.  The scan's points are streamed as int rows
-    # and only their corner sums on the skew cells are kept.
-    index = [(i - 1, j - 1) for (i, j) in cells]
+    # The scan's points are streamed as int rows and only their images kept.
     for t in range(1, t_max + 1):
+        maps = filters if t == 1 else order_maps(t)
         mapped = set()
         lhs = 0
         for rows in poly._scan_rows(t):
-            lhs += 1
-            C = _corner_rows(rows)
-            vals = tuple(C[i][j] for i, j in index)
-            if any(not isinstance(v, int) or v < 0 or v > t for v in vals):
+            image = _corner_image(rows, cells)
+            if image not in maps:
                 return fail("vertex_bijection", {"dilate": t, "point": Matrix(rows).to_json_dict()})
-            mapped.add(vals)
-        maps = {
-            tuple(v - 1 for v in vals)
-            for vals in enumerate_order_preserving_maps(P, t + 1)
-        }
-        rhs = len(maps)
-        report["dilate_counts"].append([t, lhs, rhs])
+            mapped.add(image)
+            lhs += 1
+        report["dilate_counts"].append([t, lhs, len(maps)])
         if len(mapped) != lhs or mapped != maps:
             return fail("vertex_bijection", {"dilate": t})
 

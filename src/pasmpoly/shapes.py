@@ -190,19 +190,3 @@ class SkewShape:
 
 def cells(shape: SkewShape) -> tuple[Cell, ...]:
     return shape.cells()
-
-
-def partitions_of_size_at_most(max_size: int) -> list[Partition]:
-    """All partitions with at most max_size boxes, smallest first."""
-    out: list[Partition] = []
-
-    def rec(remaining: int, prev: int, acc: list[int]) -> None:
-        out.append(Partition(acc))
-        for p in range(1, min(prev, remaining) + 1):
-            acc.append(p)
-            rec(remaining - p, p, acc)
-            acc.pop()
-
-    rec(max_size, max_size, [])
-    uniq = sorted(set(out), key=lambda p: (p.size, p.parts))
-    return uniq

@@ -273,6 +273,45 @@ def test_certificate_catches_a_corner_sum_out_of_range(monkeypatch):
     assert not certificate_passes(report)
 
 
+def test_certificate_names_the_first_point_off_the_order_maps(monkeypatch):
+    # The image [0, 1, 0, 0] is within [0, 1] but breaks the cover
+    # (2, 2) <= (3, 2): the point itself is the counterexample.
+    bad = ((0, 0, 0, 0, 0), (0, 1, -1, 0, 0), (0, -1, 1, 0, 0), (0, 0, 0, 0, 0))
+    _scan_with(monkeypatch, lambda points, t, poly: [bad] + points[1:] if t == 1 else points)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert report["counterexample"] == {"dilate": 1, "point": Matrix(bad).to_json_dict()}
+    assert not certificate_passes(report)
+
+
+def test_one_poset_oracle_serves_both_t_one_checks(monkeypatch):
+    real = equivalences.enumerate_order_preserving_maps
+    calls = []
+
+    def counted(P, t):
+        calls.append(t)
+        return real(P, t)
+
+    monkeypatch.setattr(equivalences, "enumerate_order_preserving_maps", counted)
+    for t_max in (1, 2, 3):
+        calls.clear()
+        assert certificate_passes(certify_integral_equivalence(example_polytope(), t_max))
+        assert calls == list(range(2, t_max + 2))
+
+    # Dropping one map into {1, 2} fails the vertex bijection, before any
+    # dilate is scanned.
+    def drop_one(P, t):
+        maps = list(real(P, t))
+        return maps[1:] if t == 2 else maps
+
+    monkeypatch.setattr(equivalences, "enumerate_order_preserving_maps", drop_one)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert not certificate_passes(report)
+
+
 def test_certificate_keeps_the_dilate_guardrail():
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ResourceLimit, match=r"\|nu/lam\| = 9, t = 2"):
@@ -342,14 +381,14 @@ def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
 
 
 def test_certificate_catches_a_wrong_inverse(monkeypatch):
-    real = equivalences._from_order_point
+    real = equivalences._from_order_values
 
-    def perturbed(g, poly, P):
-        rows = [list(r) for r in real(g, poly, P).rows]
+    def perturbed(vals, poly):
+        rows = [list(r) for r in real(vals, poly)]
         rows[-1][-1] += 1
-        return Matrix(rows)
+        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(equivalences, "_from_order_point", perturbed)
+    monkeypatch.setattr(equivalences, "_from_order_values", perturbed)
     poly = example_polytope()
     report = certify_integral_equivalence(poly, 2)
     assert report["affine_unimodular"] is False

@@ -14,9 +14,9 @@ from pasmpoly import (
     hooks,
     naruse_count,
 )
-from pasmpoly.shapes import contains, enumerate_between, partitions_of_size_at_most
+from pasmpoly.shapes import contains, enumerate_between
 
-from families import all_skew_shapes
+from families import all_skew_shapes, partitions_of_size_at_most
 
 
 def oracle_excited_diagrams(nu, lam):

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pasmpoly import Partition, SkewShape, border_strip, cells, contains, enumerate_between
-from pasmpoly.shapes import partitions_of_size_at_most
-
-from families import all_skew_shapes
+from families import all_skew_shapes, partitions_of_size_at_most
 from golden import STRIP_422, STRIP_5331
 
 
