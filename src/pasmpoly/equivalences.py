@@ -9,15 +9,20 @@ is what makes the map invertible.  The certificate checks the equivalence
 by the round trip through these two maps on every vertex, and by exact
 bijections of the vertices and of the integer points of small dilates onto
 order-preserving maps, compared as value tuples over the skew cells; it
-uses no randomness.
+uses no randomness.  The dilate scan hands it each point's image, the
+order-preserving map into {1, ..., t + 1} that it matches, built once per
+scan transition; the shape's row layout is read once per certificate, for
+the vertex images and their inverse.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add, getitem
 from typing import Sequence
 
 from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_rows
-from .polytope import PasmPolytope, _dense, _within
+from .polytope import PasmPolytope, _RowLayout, _dense, _within
 from .shapes import Cell
 from .skewposet import build_poset, enumerate_order_preserving_maps, in_order_polytope
 
@@ -29,14 +34,7 @@ def to_order_point(X: Matrix, poly: PasmPolytope) -> PosetPoint:
     polytope of the cell poset."""
     if not poly.satisfies_inequalities(X):
         raise ValueError("matrix is not a point of the polytope")
-    cells = poly.shape.cells()
-    return dict(zip(cells, _corner_image(X.rows, cells)))
-
-
-def _corner_image(rows: Sequence[Sequence[Scalar]], cells: Sequence[Cell]) -> tuple[Scalar, ...]:
-    """The corner sums of the grid on the given cells, in their order."""
-    C = _corner_rows(rows)
-    return tuple(C[i - 1][j - 1] for (i, j) in cells)
+    return dict(zip(poly.shape.cells(), _corner_image(X.rows, poly._row_layout())))
 
 
 def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
@@ -49,22 +47,22 @@ def from_order_point(g: PosetPoint, poly: PasmPolytope) -> Matrix:
     P = build_poset(poly.shape)
     if not in_order_polytope(P, g):
         raise ValueError("point is not in the order polytope")
-    return Matrix(_from_order_values(tuple(map(g.__getitem__, P.elements)), poly))
+    return Matrix(_from_order_values(tuple(map(g.__getitem__, P.elements)), poly._row_layout()))
+
+
+def _corner_image(rows: Sequence[Sequence[Scalar]],
+                  layout: Sequence[_RowLayout]) -> tuple[Scalar, ...]:
+    """The corner sums of the grid on the skew cells, in row-major order,
+    cut from its corner rows by the shape's row layout."""
+    return tuple(chain.from_iterable(map(getitem, _corner_rows(rows), [r.cols for r in layout])))
 
 
 def _from_order_values(vals: tuple[Scalar, ...],
-                       poly: PasmPolytope) -> tuple[tuple[Scalar, ...], ...]:
+                       layout: Sequence[_RowLayout]) -> tuple[tuple[Scalar, ...], ...]:
     """The rows of :func:`from_order_point`, given its values on the skew
-    cells in row-major order; int values give int rows.  The values are not
-    checked against the order polytope."""
-    lam, nu, n = poly.shape.lam, poly.shape.nu, poly.n
-    # The cells of row i are lam_i < j <= nu_i, consecutive in row-major order.
-    grid, k = [], 0
-    for i in range(1, poly.m + 1):
-        a, b = lam.part(i), nu.part(i)
-        grid.append((0,) * a + vals[k:k + b - a] + (1,) * (n - b))
-        k += b - a
-    return _inverse_corner_rows(grid)
+    cells in row-major order and the shape's row layout; int values
+    give int rows.  The values are not checked against the order polytope."""
+    return _inverse_corner_rows([r.zeros + vals[r.vals] + r.ones for r in layout])
 
 
 def complete_to_asm(M: Matrix) -> Matrix:
@@ -114,7 +112,6 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     poly._check_dilate(t_max)
     P = build_poset(poly.shape)
-    cells = poly.shape.cells()
     report: dict = {
         "spec": poly.shape.to_json(),
         "affine_unimodular": True,
@@ -129,34 +126,38 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return report
 
     def order_maps(t: int) -> set[tuple[int, ...]]:
-        """The order-preserving maps of P into {0, ..., t}."""
-        return {tuple(v - 1 for v in vals)
-                for vals in enumerate_order_preserving_maps(P, t + 1)}
+        """The order-preserving maps of P into {1, ..., t + 1}: each is one
+        more than the corner sums of the point of the t-th dilate it
+        matches, as the scan yields it, so the vertex images are lifted by 1
+        too."""
+        return set(enumerate_order_preserving_maps(P, t + 1))
 
     # Round trip of every vertex on its int rows: the membership test of
     # to_order_point on the list-indexed bound table, then the inverse of
     # its corner-sum image.
     bounds = poly._bound_lists()
-    images = []
+    layout = poly._row_layout()
+    ones = (1,) * len(P)
+    lifted = []
     for entries in poly._vertex_rows():
         rows = _dense(entries, poly.m, poly.n)
-        image = _corner_image(rows, cells)
-        if not _within(bounds, rows) or _from_order_values(image, poly) != rows:
+        image = _corner_image(rows, layout)
+        if not _within(bounds, rows) or _from_order_values(image, layout) != rows:
             return fail("affine_unimodular", {"vertex": Matrix._of_ints(rows).to_json_dict()})
-        images.append(image)
+        lifted.append(tuple(map(add, image, ones)))
 
     filters = order_maps(1)
-    distinct = set(images)
-    if len(distinct) != len(images) or distinct != filters:
-        return fail("vertex_bijection", {"images": sorted(distinct)})
+    distinct = set(lifted)
+    if len(distinct) != len(lifted) or distinct != filters:
+        return fail("vertex_bijection",
+                    {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
-    # The scan's points are streamed as int rows and only their images kept.
+    # The scan's points are streamed as int rows with their images.
     for t in range(1, t_max + 1):
         maps = filters if t == 1 else order_maps(t)
         mapped = set()
         lhs = 0
-        for rows in poly._scan_rows(t):
-            image = _corner_image(rows, cells)
+        for rows, image in poly._scan_rows(t):
             if image not in maps:
                 return fail("vertex_bijection", {"dilate": t, "point": Matrix(rows).to_json_dict()})
             mapped.add(image)

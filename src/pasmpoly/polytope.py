@@ -30,9 +30,13 @@ by row (the transfer-matrix method): the state before a row is the vector
 of column partial sums so far, the feasible rows out of each (row, state)
 pair and their next states are computed once and memoized, and the walk
 over them yields every point as a tuple of int rows, in row-major
-lexicographic order.  At t = 1 the points are the vertices, so the scan
-doubles as the census of the inequality description; only dilates with
-t >= 2 pass a guardrail.
+lexicographic order.  The corner sums of a row are prefix sums of its next
+state, so each memoized transition also carries its row's slice of the
+point's image, its corner sums plus 1 on the skew cells (the order-preserving
+map into {1, ..., t + 1} that the point matches), and the walk yields every
+point with that image, built once per transition.  At t = 1 the points are the
+vertices, so the scan doubles as the census of the inequality description;
+only dilates with t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
@@ -61,6 +65,15 @@ class ResourceLimit(ValueError):
 class DilateCount(NamedTuple):
     t: int
     count: int
+
+
+class _RowLayout(NamedTuple):
+    """Where the skew cells lam_i < j <= nu_i of one row i sit."""
+
+    zeros: tuple[int, ...]  # the corner sums forced to 0, on j <= lam_i
+    cols: slice             # the cells, as a slice of the row
+    vals: slice             # the cells, as a slice of the row-major value tuple
+    ones: tuple[int, ...]   # the corner sums forced to 1, on j > nu_i
 
 
 class PasmPolytope:
@@ -100,6 +113,16 @@ class PasmPolytope:
                                         int(lam[i] < j <= nu[i] + 1))
             self._table = table
         return self._table
+
+    def _row_layout(self) -> list[_RowLayout]:
+        """The layout of every row's skew cells, read from the parts of the
+        shape; the cells of row i are consecutive in row-major order."""
+        layout, k = [], 0
+        for i in range(1, self.m + 1):
+            a, b = self.shape.lam.part(i), self.shape.nu.part(i)
+            layout.append(_RowLayout((0,) * a, slice(a, b), slice(k, k + b - a), (1,) * (self.n - b)))
+            k += b - a
+        return layout
 
     def _bound_lists(self, t: int = 1) -> tuple[list[int], ...]:
         """The bound table times t, as the lists (lo_H, hi_H, lo_V, hi_V),
@@ -149,40 +172,44 @@ class PasmPolytope:
             self._vertices = [Matrix._of_ints(_dense(v, m, n)) for v in self._vertex_rows()]
         return list(self._vertices)
 
-    def _scan_rows(self, t: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """All integer points of the t-dilate, each a tuple of int row tuples,
-        in lexicographic (row-major) order.
+    def _scan_rows(self, t: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+        """All integer points of the t-dilate in lexicographic (row-major)
+        order, each as (rows, image): a tuple of int row tuples, and the
+        order-preserving map into {1, ..., t + 1} that the point matches,
+        its corner sums plus 1 on the skew cells in row-major order.
 
         Each entry is drawn from the range that keeps its row partial sum and
         its column partial sum within t times their bounds; the bounds on the
         full line sums close every row and column.  The state before row i
-        is the vector of column partial sums of rows < i.  For each (i, state)
-        the feasible rows i and their next states are computed once and
-        memoized, so the walk descends one row, not one cell, at a time.
+        is the vector of column partial sums V(i - 1, .) of rows < i.  For
+        each (i, state) the feasible rows i are built once, a column at a
+        time, and memoized with their next states, so the walk descends one
+        row, not one cell, at a time.  The corner sum C(i, j) is the prefix
+        sum V(i, 1) + ... + V(i, j) of the next state, so each transition also
+        stores its row's slice of the image, those prefix sums plus 1 over
+        lam_i < j <= nu_i, and the walk concatenates the slices.
         """
         m, n = self.m, self.n
-        # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t.
+        # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t, per column.
         bounds = self._bound_lists(t)
-        scaled = [tuple(b[i * n:(i + 1) * n] for b in bounds) for i in range(m)]
+        scaled = [list(zip(*(b[i * n:(i + 1) * n] for b in bounds))) for i in range(m)]
+        layout = self._row_layout()
 
         def feasible_rows(i: int, cols: tuple[int, ...]) -> list:
             """Rows i (0-based) that extend a point whose column partial sums are
-            cols, in lexicographic order, each with its next state."""
-            lo_h, hi_h, lo_v, hi_v = scaled[i]
-            row = [0] * n
+            cols, in lexicographic order, each with its next state and its
+            slice of the image."""
+            partial = [((), 0)]  # (the row's first j entries, their sum)
+            for c, (lo_h, hi_h, lo_v, hi_v) in zip(cols, scaled[i]):
+                partial = [(row + (x,), s + x) for row, s in partial
+                           for x in range(max(lo_h - s, lo_v - c), min(hi_h - s, hi_v - c) + 1)]
+            # Entry j of accumulate(after, initial=1) is C(i + 1, j) + 1, so the
+            # cells' slice of the row is shifted by one.
+            cells = slice(layout[i].cols.start + 1, layout[i].cols.stop + 1)
             out = []
-
-            def rec(j: int, row_sum: int) -> None:
-                if j == n:
-                    out.append((tuple(row), tuple(c + x for c, x in zip(cols, row))))
-                    return
-                c = cols[j]
-                for x in range(max(lo_h[j] - row_sum, lo_v[j] - c),
-                               min(hi_h[j] - row_sum, hi_v[j] - c) + 1):
-                    row[j] = x
-                    rec(j + 1, row_sum + x)
-
-            rec(0, 0)
+            for row, _ in partial:
+                after = tuple(map(add, cols, row))
+                out.append((row, after, tuple(accumulate(after, initial=1))[cells]))
             return out
 
         transitions: dict[tuple[int, tuple[int, ...]], list] = {}
@@ -194,14 +221,14 @@ class PasmPolytope:
                 rows = transitions[key] = feasible_rows(i, cols)
             return rows
 
-        def walk(i: int, cols: tuple[int, ...], prefix: tuple) -> Iterator:
-            for row, after in step(i, cols):
+        def walk(i: int, cols: tuple[int, ...], prefix: tuple, image: tuple) -> Iterator:
+            for row, after, part in step(i, cols):
                 if i == m - 1:
-                    yield prefix + (row,)
+                    yield prefix + (row,), image + part
                 else:
-                    yield from walk(i + 1, after, prefix + (row,))
+                    yield from walk(i + 1, after, prefix + (row,), image + part)
 
-        yield from walk(0, (0,) * n, ())
+        yield from walk(0, (0,) * n, (), ())
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -237,7 +264,7 @@ class PasmPolytope:
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""
         self._check_dilate(t)
-        return [Matrix(rows) for rows in self._scan_rows(t)]
+        return [Matrix(rows) for rows, _ in self._scan_rows(t)]
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"

@@ -157,29 +157,39 @@ def count_linear_extensions(P: SkewPoset) -> int:
 
 
 def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int, ...]]:
-    """All order-preserving maps into {1,...,t}, as value tuples over elements.
+    """All order-preserving maps into {1,...,t}, as value tuples over elements,
+    in lexicographic order.
 
     Relies on the row-major element order being a linear extension, so each
-    element's lower covers are assigned before it.
+    element's lower covers are assigned before it.  The search is a
+    depth-first walk in one frame: values[k] holds the iterator over the
+    values still to try for element k, from the largest value of its lower
+    covers up to t.
     """
     if t < 1:
         raise ValueError("the target chain must have at least one element")
     d = len(P)
+    if d == 0:
+        yield ()
+        return
+    down = [P.lower_covers(k) for k in range(d)]
     vals = [0] * d
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == d:
-            yield tuple(vals)
-            return
-        lo = 1
-        for p in P.lower_covers(k):
-            if vals[p] > lo:
-                lo = vals[p]
-        for v in range(lo, t + 1):
-            vals[k] = v
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    values = [iter(range(1, t + 1))] + [iter(())] * (d - 1)
+    last, k = d - 1, 0
+    while k >= 0:
+        for vals[k] in values[k]:
+            if k == last:
+                yield tuple(vals)
+            else:
+                k += 1
+                lo = 1
+                for p in down[k]:
+                    if vals[p] > lo:
+                        lo = vals[p]
+                values[k] = iter(range(lo, t + 1))
+                break
+        else:
+            k -= 1
 
 
 def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:

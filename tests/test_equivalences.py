@@ -20,7 +20,7 @@ from pasmpoly import (
 )
 from pasmpoly import equivalences
 from pasmpoly.equivalences import certificate_passes
-from pasmpoly.matrices import column_partial_sums, row_partial_sums
+from pasmpoly.matrices import _corner_rows, column_partial_sums, row_partial_sums
 
 from families import all_skew_shapes, staircase
 from golden import (
@@ -217,14 +217,40 @@ def test_certificate_sweep():
         assert certificate_passes(certify_integral_equivalence(PasmPolytope(shape), 2)), shape
 
 
+# The corner-sum image kernel of to_order_point before the row layout, kept
+# as the reference for the images the scan and the row layout build.
+def _corner_image(rows, cells):
+    """The corner sums of the grid on the given cells, in their order."""
+    C = _corner_rows(rows)
+    return tuple(C[i - 1][j - 1] for (i, j) in cells)
+
+
 def _scan_with(monkeypatch, corrupt):
-    """Replace the private row scan by corrupt(points, t, poly) of its output."""
+    """Replace the private scan's points by corrupt(points, t, poly) of their
+    rows; the image of every point is recomputed from its rows."""
     real = PasmPolytope._scan_rows
 
     def scan(self, t):
-        yield from corrupt(list(real(self, t)), t, self)
+        cells = self.shape.cells()
+        for rows in corrupt([rows for rows, _ in real(self, t)], t, self):
+            yield rows, tuple(c + 1 for c in _corner_image(rows, cells))
 
     monkeypatch.setattr(PasmPolytope, "_scan_rows", scan)
+
+
+def test_scan_images_are_the_corner_sums_on_the_cells():
+    # The image each transition's slices build is the corner sums on the
+    # cells plus 1, and the row-layout kernel of the certificate gives the
+    # corner sums themselves.
+    shapes = [(shape, t) for shape in all_skew_shapes(6) for t in range(4)]
+    shapes.append((SkewShape(Partition([6] * 5), Partition()), 1))
+    for shape, t in shapes:
+        poly, cells = PasmPolytope(shape), shape.cells()
+        layout = poly._row_layout()
+        for rows, image in poly._scan_rows(t):
+            expected = _corner_image(rows, cells)
+            assert image == tuple(c + 1 for c in expected), (shape, t, rows)
+            assert equivalences._corner_image(rows, layout) == expected
 
 
 def test_certificate_catches_a_dropped_point(monkeypatch):
@@ -383,8 +409,8 @@ def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
 def test_certificate_catches_a_wrong_inverse(monkeypatch):
     real = equivalences._from_order_values
 
-    def perturbed(vals, poly):
-        rows = [list(r) for r in real(vals, poly)]
+    def perturbed(vals, layout):
+        rows = [list(r) for r in real(vals, layout)]
         rows[-1][-1] += 1
         return tuple(map(tuple, rows))
 

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -233,6 +234,46 @@ def test_order_preserving_map_enumeration():
     assert len(set(maps)) == 10
     for vals in maps:
         assert all(vals[a] <= vals[b] for a, b in P.covers)
+
+
+# The recursive enumeration that the one-frame search replaced, kept as the
+# reference it must match map for map and in order.
+def _recursive_order_preserving_maps(P, t):
+    d = len(P)
+    vals = [0] * d
+
+    def rec(k):
+        if k == d:
+            yield tuple(vals)
+            return
+        lo = 1
+        for p in P.lower_covers(k):
+            if vals[p] > lo:
+                lo = vals[p]
+        for v in range(lo, t + 1):
+            vals[k] = v
+            yield from rec(k + 1)
+
+    yield from rec(0)
+
+
+def test_order_preserving_maps_match_the_recursive_reference():
+    for shape in all_skew_shapes(7):
+        P = build_poset(shape)
+        for t in (1, 2, 3):
+            assert list(enumerate_order_preserving_maps(P, t)) == \
+                list(_recursive_order_preserving_maps(P, t)), (shape, t)
+
+
+def test_order_preserving_maps_edge_cases():
+    empty = build_poset(SkewShape(Partition(), Partition()))
+    assert list(enumerate_order_preserving_maps(empty, 1)) == [()]
+    assert list(enumerate_order_preserving_maps(empty, 3)) == [()]
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            next(enumerate_order_preserving_maps(build_poset(EXAMPLE), t))
+    # The bench's span wrapper counts the maps of generator functions only.
+    assert inspect.isgeneratorfunction(enumerate_order_preserving_maps)
 
 
 def test_interpolate_polynomial_examples():
