@@ -11,12 +11,17 @@ prod over nu of h, it is evaluated in integers as
 
     |nu/lam|! * (sum over D of prod over c in D of h(c)) // (prod over c in nu of h(c))
 
-and the division is checked to leave no remainder.  Both public functions
-read one search over excited diagrams held as bitmasks of the cells of nu.
+and the division is checked to leave no remainder.  :func:`naruse_count`
+never lists the diagrams: an excited diagram is a flagged tableau of shape
+lam (Kreiman 2005; Morales, Pak and Panova, "Hook formulas for skew shapes
+I", 2018, Prop. 3.6), so the hook sum is a transfer over the rows of lam.
+:func:`excited_diagrams` lists them by a search over bitmasks of the cells
+of nu, and serves as that transfer's independent check.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from .shapes import Cell, Partition, contains
@@ -97,16 +102,51 @@ def excited_diagrams(nu: Partition, lam: Partition) -> list[frozenset[Cell]]:
     return [frozenset(cells[k] for k in bits) for bits in sorted(map(_bits, masks))]
 
 
+def _hook_sum(nu: Partition, lam: Partition, h: dict[Cell, int]) -> int:
+    """Sum over the excited diagrams D of lam in nu of prod over c in D of h(c).
+
+    A diagram is a shift array k on the cells of lam: cell (i,j) lies at
+    (i+k, j+k).  The arrays are exactly those weakly increasing along rows
+    and down columns that keep every cell in nu, and a row stays in nu iff
+    its last cell does.  The states of row i are its weakly increasing
+    shift vectors up to the reach r of its last cell down its diagonal, in
+    lexicographic order.  A state's weight is the hook product at its
+    cells times the total weight of the previous row's states whose first
+    lam_i shifts lie componentwise below it.  That dominance sum is a prefix
+    sum taken one coordinate at a time, last coordinate first, so that
+    every partial vector it reads is itself weakly increasing.  Row 1 reads
+    one all-zero state of weight 1, which lies below each of its states.
+    """
+    rows = nu.parts
+    weight = {(0,) * lam.part(1): 1}
+    for i, m in enumerate(lam, 1):
+        r = 0
+        while i + r < len(rows) and rows[i + r] > m + r:
+            r += 1
+        states = list(combinations_with_replacement(range(r + 1), m))
+        below = dict.fromkeys(states, 0)
+        for s, w in weight.items():
+            t = s[:m]
+            if t in below:
+                below[t] += w
+        for c in range(m - 1, -1, -1):
+            for s in states:
+                k = s[c]
+                if k > (s[c - 1] if c else 0):
+                    below[s] += below[s[:c] + (k - 1,) + s[c + 1:]]
+        weight = {s: below[s] * prod([h[i + k, j + k] for j, k in enumerate(s, 1)])
+                  for s in states}
+    return sum(weight.values())
+
+
 def naruse_count(nu: Partition, lam: Partition) -> int:
     """Number of linear extensions of the nu/lam cell poset, via the
     excited-diagram hook sum.  Exact; raises if the sum is not integral."""
-    cells, masks = _excited_masks(nu, lam)
+    if not contains(lam, nu):
+        raise ValueError(f"{lam!r} is not contained in {nu!r}")
     h = hooks(nu)
-    hook_of = [h[c] for c in cells]
-    numerator = factorial(nu.size - lam.size) * sum(
-        prod(hook_of[k] for k in _bits(mask)) for mask in masks
-    )
-    denominator = prod(hook_of)
+    numerator = factorial(nu.size - lam.size) * _hook_sum(nu, lam, h)
+    denominator = prod(h.values())
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(f"hook sum produced non-integer {numerator}/{denominator}")

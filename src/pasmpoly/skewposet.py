@@ -109,37 +109,44 @@ def in_order_polytope(P: SkewPoset, f: Mapping[Cell, Scalar]) -> bool:
     return all(vals[a] <= vals[b] for a, b in P.covers)
 
 
-def _ideals(P: SkewPoset) -> list[int]:
-    """The down-closed subsets of P, as bitmasks over elements.
+def _ideals_with_maxima(P: SkewPoset) -> tuple[list[int], list[int]]:
+    """The down-closed subsets of P and the maximal elements of each, as
+    bitmasks over elements.
 
     Ideals are grown one element at a time in row-major order, so every
     ideal comes after the ideals it contains: the list starts with the
-    empty ideal and ends with all of P.
+    empty ideal and ends with all of P.  Since row-major order is a linear
+    extension, x is maximal in I + {x}, and the maxima of I that stay
+    maximal are those x does not cover.
     """
-    ideals = [0]
+    ideals, maxima = [0], [0]
     for x in range(len(P)):
+        bit = 1 << x
         below = sum(1 << a for a in P.lower_covers(x))
-        ideals += [I | 1 << x for I in ideals if I & below == below]
-    return ideals
+        keep = ~below
+        grown = [k for k, I in enumerate(ideals) if I & below == below]
+        ideals += [ideals[k] | bit for k in grown]
+        maxima += [maxima[k] & keep | bit for k in grown]
+    return ideals, maxima
 
 
 def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The lattice J(P) of down-closed subsets, as bitmasks over elements.
 
-    Returns ``(ideals, covers)``, the ideals as listed by :func:`_ideals`.
-    ``covers[x]`` lists the pairs ``(i, j)`` with ``ideals[j] == ideals[i] -
-    {x}`` and x maximal in ``ideals[i]``, in increasing i.  Since row-major
-    order is a linear extension, an ideal's largest element is maximal in
-    it and removing it leaves an ideal that is already listed.
+    Returns ``(ideals, covers)``, the ideals as listed by
+    :func:`_ideals_with_maxima`.  ``covers[x]`` lists the pairs ``(i, j)``
+    with ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
+    increasing i.  They are read off each ideal's maxima, one pair per
+    cover of the lattice.
     """
-    ideals = _ideals(P)
+    ideals, maxima = _ideals_with_maxima(P)
     index = {I: k for k, I in enumerate(ideals)}
-    covers = []
-    for x in range(len(P)):
-        bit = 1 << x
-        above = sum(1 << b for b in P.upper_covers(x))
-        covers.append([(i, index[I ^ bit]) for i, I in enumerate(ideals)
-                       if I & bit and not I & above])
+    covers: list[list[tuple[int, int]]] = [[] for _ in range(len(P))]
+    for i, (I, M) in enumerate(zip(ideals, maxima)):
+        while M:
+            low = M & -M
+            covers[low.bit_length() - 1].append((i, index[I ^ low]))
+            M ^= low
     return ideals, covers
 
 
@@ -147,13 +154,19 @@ def count_linear_extensions(P: SkewPoset) -> int:
     """Number of order-preserving bijections onto {1,...,|P|}.
 
     Counts the saturated chains of J(P) from the empty ideal to P, one
-    added maximal element per step: h(I) is the sum of h(I - {x}).
+    added maximal element per step: h(I) is the sum of h(I - {x}) over the
+    maxima x of I, and each I - {x} is listed before I.
     """
-    ideals, covers = _ideal_lattice(P)
-    h = [1] + [0] * (len(ideals) - 1)
-    for i, j in sorted(pair for pairs in covers for pair in pairs):
-        h[i] += h[j]
-    return h[-1]
+    ideals, maxima = _ideals_with_maxima(P)
+    h = {0: 1}
+    for k in range(1, len(ideals)):
+        I, M, total = ideals[k], maxima[k], 0
+        while M:
+            low = M & -M
+            total += h[I ^ low]
+            M ^= low
+        h[I] = total
+    return h[ideals[-1]]
 
 
 def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int, ...]]:
@@ -225,7 +238,7 @@ def enumerate_filters(P: SkewPoset) -> list[frozenset[Cell]]:
     """All up-closed subsets; indicator functions of these are exactly the
     0/1 points of the order polytope."""
     filters = [frozenset(c for k, c in enumerate(P.elements) if not I >> k & 1)
-               for I in _ideals(P)]
+               for I in _ideals_with_maxima(P)[0]]
     return sorted(filters, key=lambda s: (len(s), sorted(s)))
 
 

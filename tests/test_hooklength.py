@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +14,7 @@ from pasmpoly import (
     hooks,
     naruse_count,
 )
+from pasmpoly.hooklength import _hook_sum
 from pasmpoly.shapes import contains, enumerate_between
 
 from families import all_skew_shapes, partitions_of_size_at_most
@@ -156,6 +157,26 @@ def test_hook_sum_matches_oracles_in_five_by_five_box(shape):
 def test_excited_diagrams_match_oracle_sweep():
     for shape in all_skew_shapes(6):
         assert excited_diagrams(shape.nu, shape.lam) == oracle_excited_diagrams(shape.nu, shape.lam)
+
+
+def test_row_transfer_matches_the_excited_diagram_sum():
+    # The row transfer against the diagrams listed one by one, before the
+    # division that could hide a wrong sum behind an integer quotient.
+    for shape in all_skew_shapes(7):
+        h = hooks(shape.nu)
+        expected = sum(prod(h[c] for c in D) for D in excited_diagrams(shape.nu, shape.lam))
+        assert _hook_sum(shape.nu, shape.lam, h) == expected, shape
+
+
+@pytest.mark.parametrize("nu, lam", [
+    ([9] * 8, [5, 4, 3, 3]),      # 610 344 excited diagrams
+    ([10] * 8, [5, 4, 3, 3]),
+    ([8] * 7, [6, 3, 3, 1]),
+    ([9, 9, 8, 8, 6, 6, 3], [4, 4, 2, 1]),
+])
+def test_naruse_count_beyond_the_enumeration(nu, lam):
+    nu, lam = Partition(nu), Partition(lam)
+    assert naruse_count(nu, lam) == count_linear_extensions(build_poset(SkewShape(nu, lam)))
 
 
 def test_naruse_count_rejects_non_nested():

@@ -19,6 +19,8 @@ from pasmpoly import (
 )
 from pasmpoly.skewposet import (
     SkewPoset,
+    _ideal_lattice,
+    _ideals_with_maxima,
     enumerate_order_preserving_maps,
     order_polynomial_values,
 )
@@ -70,6 +72,40 @@ def leading_term_check(P):
     return poly.degree == d and poly.leading_coefficient == Fraction(
         count_linear_extensions(P), factorial(d)
     )
+
+
+def reference_ideal_lattice(P):
+    """Oracle: the ideals grown in row-major order, and for each element x
+    the pairs (i, j) with ideals[j] == ideals[i] - {x}, x maximal, found by
+    scanning every ideal once per element (O(|P| |J(P)|))."""
+    ideals = [0]
+    for x in range(len(P)):
+        below = sum(1 << a for a in P.lower_covers(x))
+        ideals += [I | 1 << x for I in ideals if I & below == below]
+    index = {I: k for k, I in enumerate(ideals)}
+    covers = []
+    for x in range(len(P)):
+        bit = 1 << x
+        above = sum(1 << b for b in P.upper_covers(x))
+        covers.append([(i, index[I ^ bit]) for i, I in enumerate(ideals)
+                       if I & bit and not I & above])
+    return ideals, covers
+
+
+def reference_linear_extension_count(P):
+    """Oracle: chains of J(P), summed over the sorted cover pairs."""
+    ideals, covers = reference_ideal_lattice(P)
+    h = [1] + [0] * (len(ideals) - 1)
+    for i, j in sorted(pair for pairs in covers for pair in pairs):
+        h[i] += h[j]
+    return h[-1]
+
+
+LATTICE_SHAPES = [
+    *all_skew_shapes(7),
+    SkewShape(Partition([6] * 5), Partition()),
+    SkewShape(Partition([8] * 6), Partition([4, 4, 4])),
+]
 
 
 def lagrange_interpolate(values):
@@ -141,6 +177,30 @@ def test_count_linear_extensions_against_permutation_oracle():
             continue
         P = build_poset(shape)
         assert count_linear_extensions(P) == brute_linear_extension_count(P)
+
+
+def test_ideal_lattice_matches_the_per_element_scan():
+    # order_polynomial_values reads the cover pairs in this order.
+    for shape in LATTICE_SHAPES:
+        P = build_poset(shape)
+        assert _ideal_lattice(P) == reference_ideal_lattice(P), shape
+
+
+def test_carried_maxima_are_the_maximal_elements():
+    for shape in LATTICE_SHAPES:
+        P = build_poset(shape)
+        ideals, maxima = _ideals_with_maxima(P)
+        assert len(maxima) == len(ideals)
+        for I, M in zip(ideals, maxima):
+            expected = sum(1 << x for x in range(len(P))
+                           if I >> x & 1 and not any(I >> b & 1 for b in P.upper_covers(x)))
+            assert M == expected, (shape, I)
+
+
+def test_count_linear_extensions_matches_the_sorted_cover_sum():
+    for shape in LATTICE_SHAPES:
+        P = build_poset(shape)
+        assert count_linear_extensions(P) == reference_linear_extension_count(P), shape
 
 
 def test_order_polynomial_examples():
