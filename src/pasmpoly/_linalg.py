@@ -15,7 +15,10 @@ reduced: its pivot columns are zero in every other basis row, so each basis
 row is, up to sign, the primitive integer vector of the row span that
 vanishes on the other pivot columns.  By Cramer's rule its entries are
 bounded by r x r minors of the scaled input, the same bound as for Bareiss
-elimination.
+elimination.  Because the basis is reduced, an incoming row is cleared of
+every pivot it hits in one pass: scaled by the lcm of those pivot entries,
+minus the multiple of each basis row read off the row itself, and its
+content is divided out once, not once per pivot.
 
 The phase-1 simplex is fraction-free in the sense of Bareiss (Math. Comp.
 22, 1968): every tableau entry is an integer minor of the scaled input, so
@@ -69,11 +72,23 @@ def _reduced_basis(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
     for row in rows:
         if not isinstance(row, dict):
             row = {j: x for j, x in enumerate(_integer_row(row)) if x}
-        vec = _primitive(row)
-        # A basis row is zero on the other pivots, so eliminating one pivot
-        # never brings back another: one pass over the row's support is enough.
-        for c in [j for j in vec if j in basis]:
-            vec = _reduce(vec, basis[c], c)
+        hits = [c for c in row if c in basis]
+        if hits:
+            # A basis row b_c is zero on the other pivots, so the multiple of
+            # b_c that clears pivot c is read off the incoming row, and one
+            # pass clears every pivot: vec = scale * row - sum of those
+            # multiples, with scale the lcm of the pivot entries.
+            scale = lcm(*[basis[c][c] for c in hits])
+            vec = dict(row) if scale == 1 else {j: scale * x for j, x in row.items()}
+            for c in hits:
+                b = basis[c]
+                a = scale * row[c] // b[c]
+                for j, y in b.items():
+                    vec[j] = vec.get(j, 0) - a * y
+            vec = {j: x for j, x in vec.items() if x}
+        else:
+            vec = row
+        vec = _primitive(vec)
         if not vec:
             continue
         p = min(vec)

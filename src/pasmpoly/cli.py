@@ -17,7 +17,7 @@ from .equivalences import certificate_passes, certify_integral_equivalence, comp
 from .facelattice import face_labeling, labeling_to_dot, labeling_to_json, region_count
 from .flowpoly import build_flow_graph
 from .hooklength import naruse_count
-from .matrices import Matrix
+from .matrices import Matrix, _pretty
 from .polytope import PasmPolytope, ResourceLimit
 from .shapes import Partition, SkewShape
 from .skewposet import (
@@ -83,7 +83,11 @@ def _cmd_vertices(args) -> int:
             indent=2,
         ))
     else:
-        _emit(args, "\n\n".join(v.pretty() for v in verts) + f"\n\ncount: {len(verts)}")
+        # A profile row has at most two nonzeros, so the vertices share few
+        # distinct rows: one cache serves the whole list.
+        cache: dict = {}
+        _emit(args, "\n\n".join(_pretty(v.rows, cache) for v in verts)
+              + f"\n\ncount: {len(verts)}")
     return 0
 
 

@@ -73,9 +73,7 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.rows]})"
 
     def pretty(self) -> str:
-        cells = [[str(x) for x in row] for row in self.rows]
-        width = max(len(s) for row in cells for s in row)
-        return "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
+        return _pretty(self.rows, {})
 
     def to_json_dict(self) -> dict:
         def enc(x: Scalar):
@@ -99,6 +97,32 @@ class Matrix:
         if mat.m != data.get("m", mat.m) or mat.n != data.get("n", mat.n):
             raise ValueError("entry grid does not match declared dimensions")
         return mat
+
+
+def _pretty(rows: Sequence[Sequence[Scalar]], cache: dict) -> str:
+    """The rows as text, every entry right-aligned to the widest one.
+
+    ``cache`` maps each distinct row to its cell strings and their width,
+    and each (row, width) to the row's text, so a list of matrices that
+    repeat rows, such as the vertex profiles, can share one dict and pay
+    per distinct row, not per entry.
+    """
+    cells = []
+    for row in rows:
+        hit = cache.get(row)
+        if hit is None:
+            strs = [str(x) for x in row]
+            hit = cache[row] = (strs, max(map(len, strs)))
+        cells.append(hit)
+    width = max(w for _, w in cells)
+    lines = []
+    for row, (strs, _) in zip(rows, cells):
+        key = (row, width)
+        text = cache.get(key)
+        if text is None:
+            text = cache[key] = " ".join(s.rjust(width) for s in strs)
+        lines.append(text)
+    return "\n".join(lines)
 
 
 def row_partial_sums(M: Matrix, i: int) -> list[Scalar]:

@@ -30,11 +30,15 @@ by row (the transfer-matrix method): the state before a row is the vector
 of column partial sums so far, the feasible rows out of each (row, state)
 pair and their next states are computed once and memoized, and the walk
 over them yields every point as a tuple of int rows, in row-major
-lexicographic order.  The corner sums of a row are prefix sums of its next
-state, so each memoized transition also carries its row's slice of the
-point's image, its corner sums plus 1 on the skew cells (the order-preserving
-map into {1, ..., t + 1} that the point matches), and the walk yields every
-point with that image, built once per transition.  At t = 1 the points are the
+lexicographic order.  Before a row is built, one backward pass over its
+columns finds the live interval after each column: the row sums from which
+the row can still be completed, given the column bounds that remain.  Each
+entry is drawn so that the row sum stays live, so no partial row is built
+that dies at a later column.  The corner sums of a row are prefix sums of
+its next state, so each memoized transition also carries its row's slice of
+the point's image, its corner sums plus 1 on the skew cells (the
+order-preserving map into {1, ..., t + 1} that the point matches), and the
+walk yields every point with that image, built once per transition.  At t = 1 the points are the
 vertices, so the scan doubles as the census of the inequality description;
 only dilates with t >= 2 pass a guardrail.
 """
@@ -178,9 +182,11 @@ class PasmPolytope:
         order-preserving map into {1, ..., t + 1} that the point matches,
         its corner sums plus 1 on the skew cells in row-major order.
 
-        Each entry is drawn from the range that keeps its row partial sum and
-        its column partial sum within t times their bounds; the bounds on the
-        full line sums close every row and column.  The state before row i
+        Each entry is drawn from the range that keeps its column partial sum
+        within t times its bounds and its row partial sum live: within t
+        times its bounds and still able to reach the full row sum through
+        the columns that remain (a backward pass per state).  The bounds on
+        the full line sums close every row and column.  The state before row i
         is the vector of column partial sums V(i - 1, .) of rows < i.  For
         each (i, state) the feasible rows i are built once, a column at a
         time, and memoized with their next states, so the walk descends one
@@ -199,10 +205,22 @@ class PasmPolytope:
             """Rows i (0-based) that extend a point whose column partial sums are
             cols, in lexicographic order, each with its next state and its
             slice of the image."""
+            # live[j]: the row sums through column j from which the row can
+            # still be completed, walked back from the full-row bound by the
+            # entry range [lo_v - c, hi_v - c] of each later column.
+            live = [None] * n
+            lo, hi = scaled[i][-1][:2]
+            for j in range(n - 1, -1, -1):
+                lo_h, hi_h, lo_v, hi_v = scaled[i][j]
+                lo, hi = max(lo, lo_h), min(hi, hi_h)
+                if lo > hi:
+                    return []
+                live[j] = (lo, hi)
+                lo, hi = lo - (hi_v - cols[j]), hi - (lo_v - cols[j])
             partial = [((), 0)]  # (the row's first j entries, their sum)
-            for c, (lo_h, hi_h, lo_v, hi_v) in zip(cols, scaled[i]):
+            for c, (lo_s, hi_s), (_, _, lo_v, hi_v) in zip(cols, live, scaled[i]):
                 partial = [(row + (x,), s + x) for row, s in partial
-                           for x in range(max(lo_h - s, lo_v - c), min(hi_h - s, hi_v - c) + 1)]
+                           for x in range(max(lo_s - s, lo_v - c), min(hi_s - s, hi_v - c) + 1)]
             # Entry j of accumulate(after, initial=1) is C(i + 1, j) + 1, so the
             # cells' slice of the row is shifted by one.
             cells = slice(layout[i].cols.start + 1, layout[i].cols.stop + 1)
@@ -292,16 +310,16 @@ def is_extreme(X: Matrix, others: list[Matrix]) -> bool:
     """True iff X is not a convex combination of the given matrices.
 
     If <X, X> > <X, V> for every V in others, the functional X strictly
-    separates X from their hull, an exact proof that X is extreme.  Every
-    other case, and so every False, is decided by the phase-1 simplex.
+    separates X from their hull, an exact proof that X is extreme.  Both
+    products run over the nonzero entries of X only.  Every other case, and
+    so every False, is decided by the phase-1 simplex.
     """
     if any(o.m != X.m or o.n != X.n for o in others):
         raise ValueError("mixed dimensions")
     if not others:
         return True
-    x = X.flatten()
-    points = [o.flatten() for o in others]
-    norm = sum(a * a for a in x)
-    if all(sum(a * b for a, b in zip(x, p)) < norm for p in points):
+    support = [(i, j, a) for i, row in enumerate(X.rows) for j, a in enumerate(row) if a]
+    norm = sum(a * a for _, _, a in support)
+    if all(sum(a * o.rows[i][j] for i, j, a in support) < norm for o in others):
         return True
-    return not convex_combination_exists(x, points)
+    return not convex_combination_exists(X.flatten(), [o.flatten() for o in others])

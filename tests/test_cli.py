@@ -18,6 +18,7 @@ from pasmpoly.cli import main
 from families import all_skew_shapes
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
 from test_linalg import fraction_rank
+from test_matrices import reference_pretty
 
 
 def run(capsys, *argv):
@@ -53,7 +54,7 @@ def test_vertex_commands_match_output_rendered_from_the_oracle(capsys):
         dim = fraction_rank([[x - b for x, b in zip(p, flat[0])] for p in flat[1:]])
         listed = [v.to_json_dict() for v in verts]
         args = ["--nu", ",".join(map(str, shape.nu)), "--lambda", ",".join(map(str, shape.lam))]
-        text = "\n\n".join(v.pretty() for v in verts) + f"\n\ncount: {len(verts)}\n"
+        text = "\n\n".join(reference_pretty(v) for v in verts) + f"\n\ncount: {len(verts)}\n"
         assert run(capsys, "vertices", *args) == (0, text)
         listing = {"spec": shape.to_json(), "vertices": listed}
         assert run(capsys, "vertices", *args, "--format", "json") == (

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pasmpoly import (
     Matrix,
@@ -12,7 +12,7 @@ from pasmpoly import (
     is_partial_asm,
     vertex_matrix,
 )
-from pasmpoly.matrices import column_partial_sums, row_partial_sums
+from pasmpoly.matrices import _pretty, column_partial_sums, row_partial_sums
 from pasmpoly.shapes import enumerate_between
 
 from golden import CORNER_SUMS_422_31, PROFILE_5331, RATIONAL_POINT_422_31
@@ -30,6 +30,36 @@ def rational_matrices(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
     rows = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=m, max_size=m))
     return Matrix(rows)
+
+
+def reference_pretty(M: Matrix) -> str:
+    """The per-entry renderer that _pretty replaced, kept as its oracle:
+    every entry right-aligned to the widest one in the matrix."""
+    cells = [[str(x) for x in row] for row in M.rows]
+    width = max(len(s) for row in cells for s in row)
+    return "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
+
+
+@st.composite
+def matrices_sharing_rows(draw):
+    """Matrices of one width n whose rows come from a small pool, so that a
+    row recurs in matrices whose widest entry differs."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-1, 1) | st.sampled_from([F(-3, 4), F(1, 2), F(7, 10), F(-12, 5)])
+    pool = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=5))
+    rows = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    return draw(st.lists(rows.map(Matrix), min_size=1, max_size=8))
+
+
+@given(matrices_sharing_rows())
+@example([Matrix([[0, 1]]), Matrix([[0, 1], [1, -1]]), Matrix([[F(-3, 4), 0], [0, 1]])])
+def test_shared_pretty_cache_matches_the_per_entry_renderer(mats):
+    # One cache over the whole list, in either order, as the vertices
+    # command shares it; pretty() starts from an empty one.
+    cache: dict = {}
+    for M in mats + mats[::-1]:
+        assert _pretty(M.rows, cache) == reference_pretty(M)
+        assert M.pretty() == reference_pretty(M)
 
 
 def test_matrix_validation():

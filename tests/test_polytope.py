@@ -21,6 +21,7 @@ from pasmpoly import (
     vertex_matrix,
 )
 import pasmpoly.polytope
+from pasmpoly.matrices import row_partial_sums
 from pasmpoly.polytope import DILATE_SIZE_LIMIT
 
 from families import all_skew_shapes, staircase
@@ -302,6 +303,27 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t):
     assert poly.dilate_lattice_points(t).count == len(oracle)
 
 
+def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatch):
+    # Pinning a two-valued row partial sum short of the last column makes
+    # rows die partway; the scan's live intervals must take that bound into
+    # account before and after its column and still list exactly the
+    # oracle's points that obey it, in order.
+    real = PasmPolytope._bounds
+    poly = example_polytope()
+    mid_row = [(edge, lo, hi) for edge, (lo, hi) in real(poly).items()
+               if edge[0] == "H" and edge[2] < poly.n and lo < hi]
+    assert mid_row
+    for t in (1, 2, 3):
+        oracle = list(_scan_integer_points(poly, t))
+        for (kind, i, j), lo, hi in mid_row:
+            for value in (lo, hi):
+                narrowed = {**real(poly), (kind, i, j): (value, value)}
+                monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
+                kept = [P for P in oracle if row_partial_sums(P, i)[j - 1] == t * value]
+                assert 0 < len(kept) < len(oracle)
+                assert poly.dilate_integer_points(t) == kept, (i, j, value, t)
+
+
 @given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
 def test_sparse_vertex_rows_match_the_profile_oracle(shape):
     # The boxes are minimal or larger: nu may have fewer than m - 1 parts,
@@ -406,6 +428,22 @@ def test_is_extreme_without_self_separation_asks_the_simplex(monkeypatch):
     _no_lp(monkeypatch)
     with pytest.raises(AssertionError, match="simplex"):
         is_extreme(X, others)
+
+
+def test_rational_point_is_separated_over_its_nonzeros(monkeypatch):
+    # X has a zero and a negative entry; the separation products run over its
+    # nonzeros only, and here they decide: <X, X> = 13/36 exceeds every <X, V>.
+    target = [F(1, 2), 0, F(-1, 3)]
+    others = [[0, 1, 0], [F(1, 4), 0, 0], [0, 5, F(1, 3)], [F(2, 3), -4, F(1, 2)]]
+    assert not fraction_convex_combination_exists(target, others)
+    with monkeypatch.context() as patched:
+        _no_lp(patched)
+        assert is_extreme(Matrix([target]), [Matrix([o]) for o in others])
+    # A point that agrees with X on its support and is free elsewhere ties
+    # <X, X>; with its mirror image X is their midpoint, which the simplex finds.
+    shadows = [[F(1, 2), 7, F(-1, 3)], [F(1, 2), -7, F(-1, 3)]]
+    assert fraction_convex_combination_exists(target, shadows)
+    assert not is_extreme(Matrix([target]), [Matrix([o]) for o in others + shadows])
 
 
 @st.composite
