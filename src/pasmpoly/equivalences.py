@@ -138,9 +138,9 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     bounds = poly._bound_lists()
     layout = poly._row_layout()
     ones = (1,) * len(P)
-    lifted = []
+    lifted, cache = [], {}
     for entries in poly._vertex_rows():
-        rows = _dense(entries, poly.m, poly.n)
+        rows = _dense(entries, poly.m, poly.n, cache)
         image = _corner_image(rows, layout)
         if not _within(bounds, rows) or _from_order_values(image, layout) != rows:
             return fail("affine_unimodular", {"vertex": Matrix._of_ints(rows).to_json_dict()})

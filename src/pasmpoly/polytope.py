@@ -172,8 +172,8 @@ class PasmPolytope:
     def vertices(self) -> list[Matrix]:
         """Profile matrices of all partitions between lam and nu."""
         if self._vertices is None:
-            m, n = self.m, self.n
-            self._vertices = [Matrix._of_ints(_dense(v, m, n)) for v in self._vertex_rows()]
+            m, n, cache = self.m, self.n, {}
+            self._vertices = [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
         return list(self._vertices)
 
     def _scan_rows(self, t: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
@@ -288,12 +288,29 @@ class PasmPolytope:
         return f"PasmPolytope({self.shape!r})"
 
 
-def _dense(entries: dict[int, int], m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The m x n rows of a sparse row {i * n + j: entry}."""
-    flat = [0] * (m * n)
-    for k, x in entries.items():
-        flat[k] = x
-    return tuple(tuple(flat[k:k + n]) for k in range(0, m * n, n))
+def _dense(entries: dict[int, int], m: int, n: int,
+           cache: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The m x n rows of a sparse row {i * n + j: entry}.
+
+    Each row is keyed by its nonzeros, as the flat pairs (i * n + j, entry),
+    and built once per key in ``cache``, which the caller shares across the
+    vertices: a profile row has at most two nonzeros, so few rows are
+    distinct, and equal rows are one tuple.
+    """
+    keys: list[tuple[int, ...]] = [()] * m
+    for item in entries.items():
+        keys[item[0] // n] += item
+    return tuple([cache[key] if key in cache else _dense_row(key, n, cache) for key in keys])
+
+
+def _dense_row(key: tuple[int, ...], n: int,
+               cache: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+    """The row of _dense keyed by ``key``, stored in ``cache``."""
+    row = [0] * n
+    for p in range(0, len(key), 2):
+        row[key[p] % n] = key[p + 1]
+    cache[key] = tuple(row)
+    return cache[key]
 
 
 def _within(bound_lists: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:

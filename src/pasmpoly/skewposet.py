@@ -8,6 +8,7 @@ extension; that fact is exploited throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .matrices import Scalar
@@ -109,25 +110,68 @@ def in_order_polytope(P: SkewPoset, f: Mapping[Cell, Scalar]) -> bool:
     return all(vals[a] <= vals[b] for a, b in P.covers)
 
 
+def _skew_rows(P: SkewPoset) -> list[tuple[int, int, bool]]:
+    """The rows of the skew shape whose cell poset P is, top to bottom:
+    (lam_i, nu_i, joined) for each row i that holds cells, where joined
+    tells whether row i + 1 holds cells too.
+
+    Checks in O(|P|) that P is what build_poset makes of a skew shape: its
+    elements run through each row's cells lam_i < j <= nu_i in row-major
+    order, the ends lam_i and nu_i of adjacent rows weakly decrease, and
+    its covers are exactly the east and south neighbor pairs.  Raises
+    ValueError otherwise, since the row walk of _ideals_with_maxima would
+    count a different poset.
+    """
+    rows: list[list[int]] = []  # [i, lam_i, nu_i, index of the row's first cell]
+    for k, (i, j) in enumerate(P.elements):
+        if rows and rows[-1][0] == i and rows[-1][2] == j - 1:
+            rows[-1][2] = j
+        elif not rows or rows[-1][0] < i:
+            rows.append([i, j - 1, j, k])
+        else:
+            raise ValueError("poset elements are not the rows of a skew shape in row-major order")
+    shape = []
+    for r, (i, lam, nu, start) in enumerate(rows):
+        below = rows[r + 1] if r + 1 < len(rows) and rows[r + 1][0] == i + 1 else None
+        if below is not None and (below[1] > lam or below[2] > nu):
+            raise ValueError("poset elements are not the cells of a skew shape")
+        for j in range(lam + 1, nu + 1):
+            east = (start + j - lam,) if j < nu else ()
+            south = ((below[3] + j - below[1] - 1,)
+                     if below is not None and below[1] < j <= below[2] else ())
+            if P.upper_covers(start + j - lam - 1) != east + south:
+                raise ValueError("poset covers are not the east and south neighbors of its cells")
+        shape.append((lam, nu, below is not None))
+    return shape
+
+
 def _ideals_with_maxima(P: SkewPoset) -> tuple[list[int], list[int]]:
     """The down-closed subsets of P and the maximal elements of each, as
-    bitmasks over elements.
+    bitmasks over elements, in increasing bitmask order: the list starts
+    with the empty ideal and ends with all of P, and every ideal comes
+    after the ideals it contains.
 
-    Ideals are grown one element at a time in row-major order, so every
-    ideal comes after the ideals it contains: the list starts with the
-    empty ideal and ends with all of P.  Since row-major order is a linear
-    extension, x is maximal in I + {x}, and the maxima of I that stay
-    maximal are those x does not cover.
+    The ideals are the cells of the partitions mu between lam and nu, and
+    are walked by their parts from the last row up, one list comprehension
+    per row.  Row i's part q runs from the larger of lam_i and the part p
+    of the row below (when that row holds cells) up to nu_i, and its cell
+    (i, q) is maximal exactly when q exceeds both.  The additions (prefix
+    bits, maximal bit, q) of a row are built once per start value.  Since
+    later rows hold the higher bits, the walk lists the ideals in
+    increasing order.
     """
-    ideals, maxima = [0], [0]
-    for x in range(len(P)):
-        bit = 1 << x
-        below = sum(1 << a for a in P.lower_covers(x))
-        keep = ~below
-        grown = [k for k, I in enumerate(ideals) if I & below == below]
-        ideals += [ideals[k] | bit for k in grown]
-        maxima += [maxima[k] & keep | bit for k in grown]
-    return ideals, maxima
+    walk = [(0, 0, 0)]  # (ideal, maxima, part of the row below)
+    parts: Sequence[int] = (0,)
+    shift = len(P)
+    for lam, nu, joined in reversed(_skew_rows(P)):
+        shift -= nu - lam
+        start = {p: max(lam, p) if joined else lam for p in parts}
+        additions = {s: [((1 << q - lam) - 1 << shift, 1 << shift + q - lam - 1 if q > s else 0, q)
+                         for q in range(s, nu + 1)] for s in set(start.values())}
+        steps = {p: additions[s] for p, s in start.items()}
+        walk = [(I | bits, M | top, q) for I, M, p in walk for bits, top, q in steps[p]]
+        parts = range(lam, nu + 1)
+    return [I for I, _, _ in walk], [M for _, M, _ in walk]
 
 
 def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -284,19 +328,36 @@ class UniPoly:
 def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     """Unique interpolating polynomial through the given (t, value) samples.
 
-    Newton's divided differences give the coefficients c_k of the Newton
-    form sum_k c_k (t - x_0)...(t - x_{k-1}); Horner's rule on that form
-    expands it into monomials.  Both take O(n^2) exact operations.
+    Runs on ints: the abscissae are scaled by the lcm X of their
+    denominators and the values by the lcm Y of theirs, which interpolates
+    q(s) = Y p(s / X).  Newton's divided differences of q run in place,
+    level k over the common denominator D_k = D_{k-1} lcm_i(x_i - x_{i-k}),
+    so each level multiplies by an exact quotient and divides nothing.
+    Horner's rule expands the Newton form sum_k c_k (s - x_0)...(s - x_{k-1})
+    over D_d, and the coefficient a_j / D_d of s^j gives p's coefficient
+    a_j X^j / (D_d Y), one Fraction each.  Both passes take O(n^2) int
+    operations.
     """
     xs = [Fraction(x) for x, _ in values]
-    cs = [Fraction(y) for _, y in values]
+    ys = [Fraction(y) for _, y in values]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - k])
-    coeffs: list[Scalar] = []
-    for x, c in zip(reversed(xs), reversed(cs)):  # coeffs * (t - x) + c
-        coeffs = [a - x * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-        coeffs[0] += c
-    return UniPoly(coeffs)
+    xden = lcm(*(x.denominator for x in xs))
+    yden = lcm(*(y.denominator for y in ys))
+    xs = [x.numerator * (xden // x.denominator) for x in xs]
+    cs = [y.numerator * (yden // y.denominator) for y in ys]
+    n = len(xs)
+    level = [1] * n  # level[k] = D_k / D_{k-1}
+    for k in range(1, n):
+        spans = [xs[i] - xs[i - k] for i in range(k, n)]
+        level[k] = lcm(*spans)
+        for i in range(n - 1, k - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) * (level[k] // spans[i - k])
+    coeffs: list[int] = []
+    scale = 1  # D_d / D_k
+    for k in range(n - 1, -1, -1):  # coeffs * (s - x_k) + c_k D_d
+        coeffs = [a - xs[k] * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += cs[k] * scale
+        scale *= level[k]
+    den = scale * yden
+    return UniPoly([Fraction(a * xden ** j, den) for j, a in enumerate(coeffs)])

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pasmpoly import (
     Partition,
@@ -101,8 +101,15 @@ def reference_linear_extension_count(P):
     return h[-1]
 
 
+# Row 2 of (3,2,2)/(2,2) holds no cells; row 3 of (5,5,2)/(3,2) ends at
+# column 2, where row 2 begins, so no cover joins the two rows.
+EMPTY_MIDDLE_ROW = SkewShape(Partition([3, 2, 2]), Partition([2, 2]))
+DISJOINT_ROWS = SkewShape(Partition([5, 5, 2]), Partition([3, 2]))
+
 LATTICE_SHAPES = [
     *all_skew_shapes(7),
+    EMPTY_MIDDLE_ROW,
+    DISJOINT_ROWS,
     SkewShape(Partition([6] * 5), Partition()),
     SkewShape(Partition([8] * 6), Partition([4, 4, 4])),
 ]
@@ -186,15 +193,58 @@ def test_ideal_lattice_matches_the_per_element_scan():
         assert _ideal_lattice(P) == reference_ideal_lattice(P), shape
 
 
+def reference_maxima(P, I):
+    """Oracle: the elements of I none of whose upper covers lie in I."""
+    return sum(1 << x for x in range(len(P))
+               if I >> x & 1 and not any(I >> b & 1 for b in P.upper_covers(x)))
+
+
 def test_carried_maxima_are_the_maximal_elements():
     for shape in LATTICE_SHAPES:
         P = build_poset(shape)
         ideals, maxima = _ideals_with_maxima(P)
         assert len(maxima) == len(ideals)
         for I, M in zip(ideals, maxima):
-            expected = sum(1 << x for x in range(len(P))
-                           if I >> x & 1 and not any(I >> b & 1 for b in P.upper_covers(x)))
-            assert M == expected, (shape, I)
+            assert M == reference_maxima(P, I), (shape, I)
+
+
+def test_row_walk_across_an_empty_row_and_rows_that_do_not_overlap():
+    for shape, size in ((EMPTY_MIDDLE_ROW, 3), (DISJOINT_ROWS, 7)):
+        P = build_poset(shape)
+        assert len(P) == size
+        ideals, maxima = _ideals_with_maxima(P)
+        assert ideals == reference_ideal_lattice(P)[0], shape
+        assert maxima == [reference_maxima(P, I) for I in ideals], shape
+    # The cell (1, 3) is unrelated to row 3, whose two cells form a chain.
+    assert len(_ideals_with_maxima(build_poset(EMPTY_MIDDLE_ROW))[0]) == 2 * 3
+
+
+@pytest.mark.parametrize("elements, covers", [
+    ([(1, 1), (1, 2)], []),                  # a missing east cover
+    ([(1, 1), (2, 1)], []),                  # a missing south cover
+    ([(1, 1), (1, 3)], [(0, 1)]),            # a row with a hole in it
+    ([(1, 2), (1, 1)], [(0, 1)]),            # not in row-major order
+    ([(1, 1), (2, 2)], []),                  # the lower row sticks out left
+    ([(1, 1), (2, 1), (2, 2)], [(0, 1), (1, 2)]),  # ... and right
+])
+def test_counting_refuses_a_poset_that_is_not_a_skew_shape(elements, covers):
+    P = SkewPoset(elements, covers)
+    for count in (count_linear_extensions, enumerate_filters,
+                  lambda P: order_polynomial_values(P, 2)):
+        with pytest.raises(ValueError):
+            count(P)
+
+
+def test_counting_takes_a_poset_built_by_hand():
+    chain = SkewPoset([(1, 1), (2, 1)], [(0, 1)])
+    assert chain == build_poset(SkewShape(Partition([1, 1]), Partition()))
+    assert count_linear_extensions(chain) == 1
+    assert order_polynomial_values(chain, 3) == [1, 3, 6]
+    # No cover joins rows 1 and 3, though row 3 reaches past row 1.
+    apart = SkewPoset([(1, 1), (3, 1), (3, 2)], [(1, 2)])
+    assert count_linear_extensions(apart) == 3
+    assert order_polynomial_values(apart, 3) == [1, 6, 18]
+    assert len(enumerate_filters(apart)) == 6
 
 
 def test_count_linear_extensions_matches_the_sorted_cover_sum():
@@ -339,8 +389,12 @@ def test_order_preserving_maps_edge_cases():
 def test_interpolate_polynomial_examples():
     assert interpolate_polynomial([(0, 1), (1, 1), (2, 1)]) == UniPoly([1])
     assert interpolate_polynomial([(1, 1), (2, 2)]) == UniPoly([0, 1])
+    assert interpolate_polynomial([]) == UniPoly([])
     with pytest.raises(ValueError):
         interpolate_polynomial([(1, 1), (1, 2)])
+    # Equal abscissae written differently are still equal.
+    with pytest.raises(ValueError, match="duplicate abscissae"):
+        interpolate_polynomial([(Fraction(2, 2), 0), (1, 5)])
 
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -352,6 +406,29 @@ def test_interpolate_polynomial_matches_lagrange_oracle(samples):
     poly = interpolate_polynomial(samples)
     assert poly == lagrange_interpolate(samples)
     assert all(poly(x) == y for x, y in samples)
+
+
+# Negative abscissae that are not integers: x = -k - r/b with 0 < r < b.
+negative_fractions = st.integers(2, 9).flatmap(
+    lambda b: st.builds(lambda k, r: -k - Fraction(r, b), st.integers(0, 20), st.integers(1, b - 1)))
+
+
+@settings(deadline=None)  # the Lagrange oracle is O(n^3) Fraction work
+@given(st.lists(st.tuples(negative_fractions, small_rationals), min_size=1, max_size=12,
+                unique_by=lambda s: s[0]))
+def test_interpolate_polynomial_on_negative_fractional_abscissae(samples):
+    poly = interpolate_polynomial(samples)
+    assert poly == lagrange_interpolate(samples)
+    assert all(poly(x) == y for x, y in samples)
+
+
+def test_interpolate_polynomial_matches_oracle_on_degree_30_ehrhart_samples():
+    P = build_poset(SkewShape(Partition([6] * 5), Partition()))
+    samples = list(enumerate(order_polynomial_values(P, 31)))  # L(t) = Omega(P, t + 1)
+    assert samples[1] == (1, 462)
+    poly = interpolate_polynomial(samples)
+    assert poly.degree == 30
+    assert poly == lagrange_interpolate(samples)
 
 
 def test_interpolate_polynomial_matches_oracle_on_ehrhart_samples():
