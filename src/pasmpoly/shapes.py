@@ -163,11 +163,14 @@ class SkewShape:
 
     def cells(self) -> tuple[Cell, ...]:
         """Cells of nu/lam in row-major order."""
-        return tuple(
+        # From a list, not a generator: tuple() resizes a generator's
+        # tuple, and a resized tuple, once freed, stays on CPython's free
+        # list for its size until a full collection.
+        return tuple([
             (i, j)
             for i in range(1, len(self.nu) + 1)
             for j in range(self.lam.part(i) + 1, self.nu.part(i) + 1)
-        )
+        ])
 
     def border_strip(self) -> frozenset[Cell]:
         return border_strip(self.nu, self.m, self.n)

@@ -8,6 +8,7 @@ extension; that fact is exploited throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
@@ -35,8 +36,9 @@ class SkewPoset:
                 raise ValueError("covers must go from smaller to larger row-major index")
             up[a].append(b)
             down[b].append(a)
-        self._up = tuple(tuple(v) for v in up)
-        self._down = tuple(tuple(v) for v in down)
+        # From lists, not generators, as in SkewShape.cells.
+        self._up = tuple([tuple(v) for v in up])
+        self._down = tuple([tuple(v) for v in down])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -145,33 +147,79 @@ def _skew_rows(P: SkewPoset) -> list[tuple[int, int, bool]]:
     return shape
 
 
-def _ideals_with_maxima(P: SkewPoset) -> tuple[list[int], list[int]]:
-    """The down-closed subsets of P and the maximal elements of each, as
-    bitmasks over elements, in increasing bitmask order: the list starts
-    with the empty ideal and ends with all of P, and every ideal comes
-    after the ideals it contains.
+def _lower_cover_offsets(rows: Sequence[tuple[int, int, bool]]) -> list[int]:
+    """For each element x of P, given by the rows (lam_i, nu_i, joined)
+    that _skew_rows returns, the offset delta[x] that removing x moves an
+    ideal back by in the list of _ideals_with_maxima: wherever x is maximal
+    in the ideal at position k, the ideal minus x is at position
+    k - delta[x].
+
+    The walk lists the ideals as a nested product over the rows' parts,
+    the top row varying fastest.  So the part q of row r heads a block of
+    comp_r(q) ideals, one per filling of the rows above it: comp_0 = 1,
+    and comp_r(q) sums comp_{r-1}(q') over q' from start_{r-1}(q) to
+    nu_{r-1}, where start_{r-1}(q) is max(lam_{r-1}, q) when row r - 1 is
+    joined to row r and lam_{r-1} otherwise.  Removing the cell x = (r, q)
+    lowers the part to q - 1 and keeps the filling above, so it moves back
+    past the block of q - 1, less the fillings at its head whose row r - 1
+    part is q - 1, which the block of q lacks.  There are such fillings
+    only when the rows are joined and q > lam_{r-1}:
+    delta[x] = comp_r(q - 1) - [joined and q > lam_{r-1}] comp_{r-1}(q - 1).
+    """
+    delta: list[int] = []
+    alam, ajoined, comp = 0, False, [1]  # an empty row above the top row
+    for lam, nu, joined in rows:
+        suffix = list(accumulate(reversed(comp)))[::-1]  # suffix[q' - alam]
+        above, comp = comp, [suffix[max(alam, q) - alam if ajoined else 0]
+                             for q in range(lam, nu + 1)]
+        delta += [comp[q - 1 - lam] - (above[q - 1 - alam] if ajoined and q > alam else 0)
+                  for q in range(lam + 1, nu + 1)]
+        alam, ajoined = lam, joined
+    return delta
+
+
+def _ideals_with_maxima(P: SkewPoset, masks: bool = True
+                        ) -> tuple[list[int] | None, list[tuple[int, ...]]]:
+    """The down-closed subsets of P and the maximal elements of each.
+
+    The ideals are bitmasks over elements, in increasing bitmask order: the
+    list starts with the empty ideal and ends with all of P, and every
+    ideal comes after the ideals it contains.  Each ideal's maxima are
+    given by position: ``lower[k]`` holds -delta[x] (see
+    _lower_cover_offsets) for each maximal element x of ``ideals[k]``, from
+    the last row up, so that ``ideals[k - delta[x]]`` is the ideal minus x.
+    With ``masks=False`` the bitmasks are not built and None stands for
+    them; the offsets alone fix the lattice's covers.
 
     The ideals are the cells of the partitions mu between lam and nu, and
     are walked by their parts from the last row up, one list comprehension
-    per row.  Row i's part q runs from the larger of lam_i and the part p
-    of the row below (when that row holds cells) up to nu_i, and its cell
-    (i, q) is maximal exactly when q exceeds both.  The additions (prefix
-    bits, maximal bit, q) of a row are built once per start value.  Since
-    later rows hold the higher bits, the walk lists the ideals in
-    increasing order.
+    per row and list.  Row i's part q runs from the larger of lam_i and the
+    part p of the row below (when that row holds cells) up to nu_i, and its
+    cell (i, q) is maximal exactly when q exceeds both.  A row's additions
+    (offset tuple of the maximal cell, prefix bits) are built once per
+    start value.  Since later rows hold the higher bits, the walk lists the
+    ideals in increasing order.
     """
-    walk = [(0, 0, 0)]  # (ideal, maxima, part of the row below)
+    rows = _skew_rows(P)
+    delta = _lower_cover_offsets(rows)
+    ideals, lower, below = [0], [()], [0]  # below: the part of the row below
     parts: Sequence[int] = (0,)
     shift = len(P)
-    for lam, nu, joined in reversed(_skew_rows(P)):
+    for lam, nu, joined in reversed(rows):
         shift -= nu - lam
         start = {p: max(lam, p) if joined else lam for p in parts}
-        additions = {s: [((1 << q - lam) - 1 << shift, 1 << shift + q - lam - 1 if q > s else 0, q)
-                         for q in range(s, nu + 1)] for s in set(start.values())}
-        steps = {p: additions[s] for p, s in start.items()}
-        walk = [(I | bits, M | top, q) for I, M, p in walk for bits, top, q in steps[p]]
+        steps = {s: range(s, nu + 1) for s in set(start.values())}
+        tops = {s: [(-delta[shift + q - lam - 1],) if q > s else () for q in qs]
+                for s, qs in steps.items()}
+        bits = {s: [(1 << q - lam) - 1 << shift for q in qs] for s, qs in steps.items()}
+        # Each part p of the row below reads the additions of its start value.
+        steps, tops, bits = ({p: table[s] for p, s in start.items()} for table in (steps, tops, bits))
+        if masks:
+            ideals = [I | b for I, p in zip(ideals, below) for b in bits[p]]
+        lower = [D + top for D, p in zip(lower, below) for top in tops[p]]
+        below = [q for p in below for q in steps[p]]
         parts = range(lam, nu + 1)
-    return [I for I, _, _ in walk], [M for _, M, _ in walk]
+    return ideals if masks else None, lower
 
 
 def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -180,17 +228,16 @@ def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]
     Returns ``(ideals, covers)``, the ideals as listed by
     :func:`_ideals_with_maxima`.  ``covers[x]`` lists the pairs ``(i, j)``
     with ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
-    increasing i.  They are read off each ideal's maxima, one pair per
-    cover of the lattice.
+    increasing i.  They are read off each ideal's lower cover offsets, one
+    pair per cover of the lattice; x is the one bit in which the two
+    ideals differ.
     """
-    ideals, maxima = _ideals_with_maxima(P)
-    index = {I: k for k, I in enumerate(ideals)}
+    ideals, lower = _ideals_with_maxima(P)
     covers: list[list[tuple[int, int]]] = [[] for _ in range(len(P))]
-    for i, (I, M) in enumerate(zip(ideals, maxima)):
-        while M:
-            low = M & -M
-            covers[low.bit_length() - 1].append((i, index[I ^ low]))
-            M ^= low
+    for i, (I, D) in enumerate(zip(ideals, lower)):
+        for o in D:
+            j = i + o
+            covers[(I ^ ideals[j]).bit_length() - 1].append((i, j))
     return ideals, covers
 
 
@@ -199,18 +246,18 @@ def count_linear_extensions(P: SkewPoset) -> int:
 
     Counts the saturated chains of J(P) from the empty ideal to P, one
     added maximal element per step: h(I) is the sum of h(I - {x}) over the
-    maxima x of I, and each I - {x} is listed before I.
+    maxima x of I, and each I - {x} is listed before I.  h is a list by
+    position, and while h(I) is summed it holds the values of the ideals
+    before I, so the offset -delta[x] that _ideals_with_maxima gives for x
+    reads h(I - {x}) as h[-delta[x]].
     """
-    ideals, maxima = _ideals_with_maxima(P)
-    h = {0: 1}
-    for k in range(1, len(ideals)):
-        I, M, total = ideals[k], maxima[k], 0
-        while M:
-            low = M & -M
-            total += h[I ^ low]
-            M ^= low
-        h[I] = total
-    return h[ideals[-1]]
+    lower = _ideals_with_maxima(P, masks=False)[1]
+    h = [1]
+    append = h.append
+    get = h.__getitem__
+    for D in islice(lower, 1, None):
+        append(sum(map(get, D)))
+    return h[-1]
 
 
 def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int, ...]]:
@@ -342,8 +389,8 @@ def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     ys = [Fraction(y) for _, y in values]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    xden = lcm(*(x.denominator for x in xs))
-    yden = lcm(*(y.denominator for y in ys))
+    xden = lcm(*[x.denominator for x in xs])  # lists, as in SkewShape.cells
+    yden = lcm(*[y.denominator for y in ys])
     xs = [x.numerator * (xden // x.denominator) for x in xs]
     cs = [y.numerator * (yden // y.denominator) for y in ys]
     n = len(xs)
