@@ -9,10 +9,12 @@ is what makes the map invertible.  The certificate checks the equivalence
 by the round trip through these two maps on every vertex, and by exact
 bijections of the vertices and of the integer points of small dilates onto
 order-preserving maps, compared as value tuples over the skew cells; it
-uses no randomness.  The dilate scan hands it each point's image, the
-order-preserving map into {1, ..., t + 1} that it matches, built once per
-scan transition; the shape's row layout is read once per certificate, for
-the vertex images and their inverse.
+uses no randomness.  The dilate scan hands it the images of all the points
+of a dilate at once, grouped by scan state: each the order-preserving map
+into {1, ..., t + 1} that its point matches, built once per scan
+transition.  They are compared with the maps as sets, and the points' rows
+are listed only to name a counterexample.  The shape's row layout is read
+once per certificate, for the vertex images and their inverse.
 """
 
 from __future__ import annotations
@@ -100,9 +102,12 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       maps into {0, 1}, the filter indicators.  This puts every image in the
       order polytope, so an image outside it fails here, not the round trip;
     * for each t <= t_max, the integer points of the t-th dilate biject
-      onto the order-preserving maps into {0, ..., t}: the first point whose
-      image is not such a map is the counterexample, and the points are as
-      many as their distinct images and the maps.
+      onto the order-preserving maps into {0, ..., t}: the set of their
+      images is contained in the maps, and the points are as many as their
+      distinct images and the maps.  The images come from the scan alone,
+      grouped by state; only when one of them is not such a map are the
+      points listed with their rows, and the lexicographically first point
+      whose image is not a map is the counterexample.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail is applied to t_max before any other work; it refuses only
@@ -152,18 +157,18 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return fail("vertex_bijection",
                     {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
-    # The scan's points are streamed as int rows with their images.
+    # The scan hands over the images alone, grouped by state, and they are
+    # compared as sets; the rows are rebuilt only to name the first point
+    # whose image is not an order-preserving map.
     for t in range(1, t_max + 1):
         maps = filters if t == 1 else order_maps(t)
-        mapped = set()
-        lhs = 0
-        for rows, image in poly._scan_rows(t):
-            if image not in maps:
-                return fail("vertex_bijection", {"dilate": t, "point": Matrix(rows).to_json_dict()})
-            mapped.add(image)
-            lhs += 1
-        report["dilate_counts"].append([t, lhs, len(maps)])
-        if len(mapped) != lhs or mapped != maps:
+        images = poly._scan_images(t)
+        mapped = set(images)
+        if not mapped <= maps:
+            rows = next(rows for rows, image in poly._scan_rows(t) if image not in maps)
+            return fail("vertex_bijection", {"dilate": t, "point": Matrix._of_ints(rows).to_json_dict()})
+        report["dilate_counts"].append([t, len(images), len(maps)])
+        if len(mapped) != len(images) or mapped != maps:
             return fail("vertex_bijection", {"dilate": t})
 
     return report

@@ -26,19 +26,24 @@ their sparse rank, and the equivalence certificate runs its round trip on
 them; vertices() wraps them in Matrix only for the public API.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned row
-by row (the transfer-matrix method): the state before a row is the vector
-of column partial sums so far, the feasible rows out of each (row, state)
-pair and their next states are computed once and memoized, and the walk
-over them yields every point as a tuple of int rows, in row-major
-lexicographic order.  Before a row is built, one backward pass over its
-columns finds the live interval after each column: the row sums from which
-the row can still be completed, given the column bounds that remain.  Each
-entry is drawn so that the row sum stays live, so no partial row is built
-that dies at a later column.  The corner sums of a row are prefix sums of
-its next state, so each memoized transition also carries its row's slice of
-the point's image, its corner sums plus 1 on the skew cells (the
-order-preserving map into {1, ..., t + 1} that the point matches), and the
-walk yields every point with that image, built once per transition.  At t = 1 the points are the
+by row (the transfer-matrix method), one level per row: the state before a
+row is the vector of column partial sums so far, and the walk keeps, for
+each state, one payload for all the point prefixes that reach it: the list
+of their images, the list of their rows with their images, or their
+number.  The feasible rows out of each state and their next states are
+computed once per level, and each (state, transition) pair extends its
+state's whole payload at once, one list comprehension over its prefixes,
+so no frame is resumed per point.  The points come out grouped by state;
+the rows walk sorts them into row-major lexicographic order at the end.
+Before a row is built, one backward pass over its columns finds the live
+interval after each column: the row sums from which the row can still be
+completed, given the column bounds that remain.  Each entry is drawn so
+that the row sum stays live, so no partial row is built that dies at a
+later column.  The corner sums of a row are prefix sums of its next state,
+so each transition also carries its row's slice of the point's image, its
+corner sums plus 1 on the skew cells (the order-preserving map into
+{1, ..., t + 1} that the point matches), built once per transition and
+concatenated onto the images of the prefixes.  At t = 1 the points are the
 vertices, so the scan doubles as the census of the inequality description;
 only dilates with t >= 2 pass a guardrail.
 """
@@ -176,24 +181,27 @@ class PasmPolytope:
             self._vertices = [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
         return list(self._vertices)
 
-    def _scan_rows(self, t: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-        """All integer points of the t-dilate in lexicographic (row-major)
-        order, each as (rows, image): a tuple of int row tuples, and the
-        order-preserving map into {1, ..., t + 1} that the point matches,
-        its corner sums plus 1 on the skew cells in row-major order.
+    def _scan(self, t: int, seed, extend) -> list:
+        """The level walk of the t-dilate: the payloads of its integer points,
+        one per state after the last row, in the order the states are reached.
+
+        The state before row i is the vector of column partial sums V(i - 1, .)
+        of rows < i, and the walk keeps a dict from each state to one payload
+        for all the point prefixes that reach it, starting from ``seed`` at
+        the zero state.  Each state's feasible rows i are built once, a
+        column at a time, with their next states; for each (state,
+        transition) pair ``extend(payload, row, part)`` gives the payload of
+        those prefixes extended by the row, and the payloads that reach the
+        same next state are added up with ``+=``.  ``part`` is the row's
+        slice of the image, its corner sums plus 1 over lam_i < j <= nu_i:
+        the corner sum C(i, j) is the prefix sum V(i, 1) + ... + V(i, j) of
+        the next state.
 
         Each entry is drawn from the range that keeps its column partial sum
         within t times its bounds and its row partial sum live: within t
         times its bounds and still able to reach the full row sum through
         the columns that remain (a backward pass per state).  The bounds on
-        the full line sums close every row and column.  The state before row i
-        is the vector of column partial sums V(i - 1, .) of rows < i.  For
-        each (i, state) the feasible rows i are built once, a column at a
-        time, and memoized with their next states, so the walk descends one
-        row, not one cell, at a time.  The corner sum C(i, j) is the prefix
-        sum V(i, 1) + ... + V(i, j) of the next state, so each transition also
-        stores its row's slice of the image, those prefix sums plus 1 over
-        lam_i < j <= nu_i, and the walk concatenates the slices.
+        the full line sums close every row and column.
         """
         m, n = self.m, self.n
         # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t, per column.
@@ -230,23 +238,34 @@ class PasmPolytope:
                 out.append((row, after, tuple(accumulate(after, initial=1))[cells]))
             return out
 
-        transitions: dict[tuple[int, tuple[int, ...]], list] = {}
+        level = {(0,) * n: seed}
+        for i in range(m):
+            reached: dict = {}
+            for cols, payload in level.items():
+                for row, after, part in feasible_rows(i, cols):
+                    if after in reached:
+                        reached[after] += extend(payload, row, part)
+                    else:
+                        reached[after] = extend(payload, row, part)
+            level = reached
+        return list(level.values())
 
-        def step(i: int, cols: tuple[int, ...]) -> list:
-            key = (i, cols)
-            rows = transitions.get(key)
-            if rows is None:
-                rows = transitions[key] = feasible_rows(i, cols)
-            return rows
+    def _scan_images(self, t: int) -> list[tuple[int, ...]]:
+        """The image of every integer point of the t-dilate, grouped by the
+        states of the level walk: the order-preserving map into
+        {1, ..., t + 1} that the point matches, its corner sums plus 1 on the
+        skew cells in row-major order."""
+        groups = self._scan(t, [()], lambda images, row, part: [image + part for image in images])
+        return list(chain.from_iterable(groups))
 
-        def walk(i: int, cols: tuple[int, ...], prefix: tuple, image: tuple) -> Iterator:
-            for row, after, part in step(i, cols):
-                if i == m - 1:
-                    yield prefix + (row,), image + part
-                else:
-                    yield from walk(i + 1, after, prefix + (row,), image + part)
-
-        yield from walk(0, (0,) * n, (), ())
+    def _scan_rows(self, t: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+        """All integer points of the t-dilate in lexicographic (row-major)
+        order, each as (rows, image): a tuple of int row tuples, and its
+        image as in _scan_images.  The level walk carries the rows with the
+        images; the points are sorted once at the end."""
+        groups = self._scan(t, [((), ())], lambda points, row, part: [
+            (rows + (row,), image + part) for rows, image in points])
+        return sorted(chain.from_iterable(groups))
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -274,15 +293,15 @@ class PasmPolytope:
             )
 
     def dilate_lattice_points(self, t: int) -> DilateCount:
-        """Number of integer matrices in the t-th dilate, by direct scan."""
+        """Number of integer matrices in the t-th dilate, by the level walk
+        of the scan with one count per state: no point is listed."""
         self._check_dilate(t)
-        count = sum(1 for _ in self._scan_rows(t))
-        return DilateCount(t, count)
+        return DilateCount(t, sum(self._scan(t, 1, lambda count, row, part: count)))
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""
         self._check_dilate(t)
-        return [Matrix(rows) for rows, _ in self._scan_rows(t)]
+        return [Matrix._of_ints(rows) for rows, _ in self._scan_rows(t)]
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"

@@ -226,16 +226,23 @@ def _corner_image(rows, cells):
 
 
 def _scan_with(monkeypatch, corrupt):
-    """Replace the private scan's points by corrupt(points, t, poly) of their
-    rows; the image of every point is recomputed from its rows."""
-    real = PasmPolytope._scan_rows
+    """Replace the points of the private scan by corrupt(points, t, poly) of
+    their rows, taken in the order of the images that the level walk hands
+    the certificate: grouped by state.  The certificate reads the corrupted
+    points' images in that order, and the rows walk lists them sorted, as
+    the real one does; the image of every point is recomputed from its rows."""
+    real_images, real_rows = PasmPolytope._scan_images, PasmPolytope._scan_rows
 
-    def scan(self, t):
+    def points(self, t):
+        position = {image: k for k, image in enumerate(real_images(self, t))}
+        walked = [rows for rows, image in sorted(real_rows(self, t), key=lambda p: position[p[1]])]
         cells = self.shape.cells()
-        for rows in corrupt([rows for rows, _ in real(self, t)], t, self):
-            yield rows, tuple(c + 1 for c in _corner_image(rows, cells))
+        return [(rows, tuple(c + 1 for c in _corner_image(rows, cells)))
+                for rows in corrupt(walked, t, self)]
 
-    monkeypatch.setattr(PasmPolytope, "_scan_rows", scan)
+    monkeypatch.setattr(PasmPolytope, "_scan_images",
+                        lambda self, t: [image for _, image in points(self, t)])
+    monkeypatch.setattr(PasmPolytope, "_scan_rows", lambda self, t: sorted(points(self, t)))
 
 
 def test_scan_images_are_the_corner_sums_on_the_cells():
@@ -270,6 +277,34 @@ def test_certificate_catches_a_repeated_point(monkeypatch):
     assert report["vertex_bijection"] is False
     assert report["counterexample"] == {"dilate": 1}
     assert not certificate_passes(report)
+
+
+def test_certificate_catches_a_point_repeated_under_another_state(monkeypatch):
+    # The walk groups the points by the state after row m - 1; a copy of the
+    # first point filed in the next group is still a repeat.
+    def repeat_elsewhere(points, t, poly):
+        state = [tuple(map(sum, zip(*rows[:-1]))) for rows in points]
+        k = next(k for k, s in enumerate(state) if s != state[0])
+        return points[:k + 1] + points[:1] + points[k + 1:]
+
+    _scan_with(monkeypatch, repeat_elsewhere)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["dilate_counts"] == [[1, 11, 10]]
+    assert report["vertex_bijection"] is False
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
+def test_a_passing_certificate_never_lists_the_rows(monkeypatch):
+    # The rows walk only names a counterexample; a passing certificate
+    # compares the images alone.
+    def refuse(self, t):
+        raise AssertionError("the rows walk ran")
+
+    monkeypatch.setattr(PasmPolytope, "_scan_rows", refuse)
+    for shape in all_skew_shapes(4):
+        assert certificate_passes(certify_integral_equivalence(PasmPolytope(shape), 3)), shape
+    assert certificate_passes(certify_integral_equivalence(example_polytope(), 4))
 
 
 def test_certificate_catches_a_dropped_or_repeated_vertex(monkeypatch):

@@ -295,12 +295,39 @@ def boxed_skew_shapes(draw, rows=4, cols=5, max_size=DILATE_SIZE_LIMIT):
     return SkewShape(Partition(nu), Partition(lam), m, n)
 
 
-@given(boxed_skew_shapes(), st.integers(0, 3))
-def test_scan_matches_cell_by_cell_oracle_boxed(shape, t):
+def _oracle_image(P: Matrix, cells) -> tuple[int, ...]:
+    """The corner sums of P on the given cells plus 1, each summed over its
+    northwest block."""
+    return tuple(1 + sum(P.entry(a, b) for a in range(1, i + 1) for b in range(1, j + 1))
+                 for i, j in cells)
+
+
+@given(boxed_skew_shapes(), st.integers(0, 3), st.data())
+def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
+    # The one level walk, with each of its payloads: the rows with the
+    # images in order, the images grouped by state, and the counts; the
+    # rows and counts also under a narrowed mid-row bound.
     poly = PasmPolytope(shape)
     oracle = list(_scan_integer_points(poly, t))
+    cells = shape.cells()
+    expected = [(P.rows, _oracle_image(P, cells)) for P in oracle]
     assert poly.dilate_integer_points(t) == oracle
+    assert poly._scan_rows(t) == expected
+    assert sorted(poly._scan_images(t)) == sorted(image for _, image in expected)
     assert poly.dilate_lattice_points(t).count == len(oracle)
+
+    real = PasmPolytope._bounds
+    mid_row = [(edge, lo, hi) for edge, (lo, hi) in real(poly).items()
+               if edge[0] == "H" and edge[2] < poly.n and lo < hi]
+    if mid_row:
+        (kind, i, j), lo, hi = data.draw(st.sampled_from(mid_row))
+        value = data.draw(st.sampled_from((lo, hi)))
+        narrowed = {**real(poly), (kind, i, j): (value, value)}
+        kept = [P for P in oracle if row_partial_sums(P, i)[j - 1] == t * value]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
+            assert poly.dilate_lattice_points(t).count == len(kept)
+            assert [rows for rows, _ in poly._scan_rows(t)] == [P.rows for P in kept]
 
 
 def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatch):
@@ -322,6 +349,7 @@ def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatc
                 kept = [P for P in oracle if row_partial_sums(P, i)[j - 1] == t * value]
                 assert 0 < len(kept) < len(oracle)
                 assert poly.dilate_integer_points(t) == kept, (i, j, value, t)
+                assert poly.dilate_lattice_points(t).count == len(kept), (i, j, value, t)
 
 
 @given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
