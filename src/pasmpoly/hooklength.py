@@ -15,8 +15,8 @@ and the division is checked to leave no remainder.  :func:`naruse_count`
 never lists the diagrams: an excited diagram is a flagged tableau of shape
 lam (Kreiman 2005; Morales, Pak and Panova, "Hook formulas for skew shapes
 I", 2018, Prop. 3.6), so the hook sum is a transfer over the rows of lam.
-:func:`excited_diagrams` lists them by a search over bitmasks of the cells
-of nu, and serves as that transfer's independent check.
+:func:`excited_diagrams` lists them by a breadth-first search over cell
+sets, and serves as that transfer's independent check.
 """
 
 from __future__ import annotations
@@ -37,69 +37,33 @@ def hooks(nu: Partition) -> dict[Cell, int]:
     }
 
 
-def _excited_masks(nu: Partition, lam: Partition) -> tuple[list[Cell], set[int]]:
-    """The cells of nu in row-major order, and every excited diagram of lam
-    in nu as a bitmask over that order (bit k is the k-th cell).
-
-    A cell (i,j) of a diagram moves to (i+1,j+1) when none of (i,j+1),
-    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu; the last
-    condition implies the other two cells lie in nu as well.  The start
-    diagram is included.
-    """
-    if not contains(lam, nu):
-        raise ValueError(f"{lam!r} is not contained in {nu!r}")
-    cells = sorted(nu.diagram())
-    index = {c: k for k, c in enumerate(cells)}
-    # moves[k] = (bit of the target cell, bits of the three blocking cells)
-    moves: list[tuple[int, int] | None] = []
-    for (i, j) in cells:
-        target = index.get((i + 1, j + 1))
-        if target is None:
-            moves.append(None)
-        else:
-            to = 1 << target
-            moves.append((to, to | 1 << index[(i, j + 1)] | 1 << index[(i + 1, j)]))
-    start = sum(1 << index[c] for c in lam.diagram())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                move = moves[low.bit_length() - 1]
-                if move is not None and not mask & move[1]:
-                    moved = mask ^ low | move[0]
-                    if moved not in seen:
-                        seen.add(moved)
-                        nxt.append(moved)
-        frontier = nxt
-    return cells, seen
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def excited_diagrams(nu: Partition, lam: Partition) -> list[frozenset[Cell]]:
     """All cell sets reachable from the diagram of lam by excited moves.
 
     A cell (i,j) of the diagram moves to (i+1,j+1) when none of (i,j+1),
-    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu.  The start
-    diagram is included; diagrams are sorted by their sorted cell lists.
+    (i+1,j), (i+1,j+1) is occupied and (i+1,j+1) lies in nu; the last
+    condition implies the other two cells lie in nu as well.  The start
+    diagram is included; diagrams are found breadth first and sorted by
+    their sorted cell lists.
     """
-    cells, masks = _excited_masks(nu, lam)
-    # Row-major indices order cells as tuples do, so sorting the index lists
-    # sorts the diagrams by their sorted cell lists.
-    return [frozenset(cells[k] for k in bits) for bits in sorted(map(_bits, masks))]
+    if not contains(lam, nu):
+        raise ValueError(f"{lam!r} is not contained in {nu!r}")
+    cells = nu.diagram()
+    start = lam.diagram()
+    seen, frontier = {start}, [start]
+    while frontier:
+        reached = []
+        for diagram in frontier:
+            for i, j in diagram:
+                target = (i + 1, j + 1)
+                if (target in cells and target not in diagram
+                        and (i, j + 1) not in diagram and (i + 1, j) not in diagram):
+                    moved = diagram - {(i, j)} | {target}
+                    if moved not in seen:
+                        seen.add(moved)
+                        reached.append(moved)
+        frontier = reached
+    return sorted(seen, key=sorted)
 
 
 def _hook_sum(nu: Partition, lam: Partition, h: dict[Cell, int]) -> int:

@@ -26,24 +26,24 @@ their sparse rank, and the equivalence certificate runs its round trip on
 them; vertices() wraps them in Matrix only for the public API.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned row
-by row (the transfer-matrix method), one level per row: the state before a
-row is the vector of column partial sums so far, and the walk keeps, for
-each state, one payload for all the point prefixes that reach it: the list
-of their images, the list of their rows with their images, or their
-number.  The feasible rows out of each state and their next states are
-computed once per level, and each (state, transition) pair extends its
-state's whole payload at once, one list comprehension over its prefixes,
-so no frame is resumed per point.  The points come out grouped by state;
-the rows walk sorts them into row-major lexicographic order at the end.
-Before a row is built, one backward pass over its columns finds the live
-interval after each column: the row sums from which the row can still be
-completed, given the column bounds that remain.  Each entry is drawn so
-that the row sum stays live, so no partial row is built that dies at a
-later column.  The corner sums of a row are prefix sums of its next state,
-so each transition also carries its row's slice of the point's image, its
-corner sums plus 1 on the skew cells (the order-preserving map into
-{1, ..., t + 1} that the point matches), built once per transition and
-concatenated onto the images of the prefixes.  At t = 1 the points are the
+by row (the transfer-matrix method), one level per row.  The state after
+row i is the corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, so every
+bound is on a difference of two corner sums: H(i, j) = C(i, j) - C(i - 1, j)
+against the previous state, V(i, j) = C(i, j) - C(i, j - 1) against the west
+neighbour.  The walk keeps, for each state, one payload for all the point
+prefixes that reach it: their images, their rows with their images, or
+their number.  The next states out of each state are drawn once per level,
+and each (state, next state) pair extends its state's whole payload in one
+list comprehension, so no frame is resumed per point.  The points come out
+grouped by state; the rows walk sorts them into row-major lexicographic
+order at the end.  A backward pass over the columns first finds each
+entry's live interval, its H interval cut by the V steps to the columns
+that remain; each entry is then drawn from it, cut by the V step from its
+west neighbour, so no partial state dies at a later column.  A point's
+image, its corner sums plus 1 on the skew cells (the order-preserving map
+into {1, ..., t + 1} that it matches), is its states' slices on the cells
+lifted by 1, and its rows are the second differences of consecutive
+states, both built once per transition.  At t = 1 the points are the
 vertices, so the scan doubles as the census of the inequality description;
 only dilates with t >= 2 pass a guardrail.
 """
@@ -51,7 +51,7 @@ only dilates with t >= 2 pass a guardrail.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import add, le
+from operator import add, le, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from ._linalg import convex_combination_exists, rank
@@ -80,7 +80,7 @@ class _RowLayout(NamedTuple):
     """Where the skew cells lam_i < j <= nu_i of one row i sit."""
 
     zeros: tuple[int, ...]  # the corner sums forced to 0, on j <= lam_i
-    cols: slice             # the cells, as a slice of the row
+    cols: slice             # the cells, as a slice of the row and of its corner sums
     vals: slice             # the cells, as a slice of the row-major value tuple
     ones: tuple[int, ...]   # the corner sums forced to 1, on j > nu_i
 
@@ -185,68 +185,58 @@ class PasmPolytope:
         """The level walk of the t-dilate: the payloads of its integer points,
         one per state after the last row, in the order the states are reached.
 
-        The state before row i is the vector of column partial sums V(i - 1, .)
-        of rows < i, and the walk keeps a dict from each state to one payload
-        for all the point prefixes that reach it, starting from ``seed`` at
-        the zero state.  Each state's feasible rows i are built once, a
-        column at a time, with their next states; for each (state,
-        transition) pair ``extend(payload, row, part)`` gives the payload of
-        those prefixes extended by the row, and the payloads that reach the
-        same next state are added up with ``+=``.  ``part`` is the row's
-        slice of the image, its corner sums plus 1 over lam_i < j <= nu_i:
-        the corner sum C(i, j) is the prefix sum V(i, 1) + ... + V(i, j) of
-        the next state.
+        The state after row i is the corner-sum row C(i, .), and the walk
+        keeps a dict from each state to one payload for all the point
+        prefixes that reach it, starting from ``seed`` at the zero state.
+        Each state's next states are drawn once, a column at a time; for each
+        (state, next state) pair ``extend(payload, i, state, after)`` gives
+        the payload of those prefixes extended by row i + 1 (i 0-based), and
+        the payloads that reach the same next state are added up with
+        ``+=``.  The row is the second difference of the two states, and the
+        row's slice of the image is after[cols] plus 1 for the cells'
+        columns ``cols``.
 
-        Each entry is drawn from the range that keeps its column partial sum
-        within t times its bounds and its row partial sum live: within t
-        times its bounds and still able to reach the full row sum through
-        the columns that remain (a backward pass per state).  The bounds on
-        the full line sums close every row and column.
+        Each entry C(i + 1, j) is drawn from the range that keeps H(i + 1, j)
+        = C(i + 1, j) - C(i, j) live, within t times its bounds and still
+        able to reach the columns that remain (a backward pass per state),
+        and V(i + 1, j) = C(i + 1, j) - C(i + 1, j - 1) within t times its
+        bounds.  The bounds on the full line sums close every row and column.
         """
         m, n = self.m, self.n
         # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t, per column.
         bounds = self._bound_lists(t)
         scaled = [list(zip(*(b[i * n:(i + 1) * n] for b in bounds))) for i in range(m)]
-        layout = self._row_layout()
 
-        def feasible_rows(i: int, cols: tuple[int, ...]) -> list:
-            """Rows i (0-based) that extend a point whose column partial sums are
-            cols, in lexicographic order, each with its next state and its
-            slice of the image."""
-            # live[j]: the row sums through column j from which the row can
-            # still be completed, walked back from the full-row bound by the
-            # entry range [lo_v - c, hi_v - c] of each later column.
+        def next_states(i: int, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+            """The next states C(i + 1, .) after the state C(i, .) (i 0-based),
+            in lexicographic order, which is that of their rows."""
+            # live[j]: the values of C(i + 1, j + 1) from which the state can
+            # still be completed: its H interval over state[j], cut by the
+            # V step into the next column, walked back from the last column.
             live = [None] * n
-            lo, hi = scaled[i][-1][:2]
+            lo, hi = state[-1] + scaled[i][-1][0], state[-1] + scaled[i][-1][1]
             for j in range(n - 1, -1, -1):
                 lo_h, hi_h, lo_v, hi_v = scaled[i][j]
-                lo, hi = max(lo, lo_h), min(hi, hi_h)
+                lo, hi = max(lo, state[j] + lo_h), min(hi, state[j] + hi_h)
                 if lo > hi:
                     return []
-                live[j] = (lo, hi)
-                lo, hi = lo - (hi_v - cols[j]), hi - (lo_v - cols[j])
-            partial = [((), 0)]  # (the row's first j entries, their sum)
-            for c, (lo_s, hi_s), (_, _, lo_v, hi_v) in zip(cols, live, scaled[i]):
-                partial = [(row + (x,), s + x) for row, s in partial
-                           for x in range(max(lo_s - s, lo_v - c), min(hi_s - s, hi_v - c) + 1)]
-            # Entry j of accumulate(after, initial=1) is C(i + 1, j) + 1, so the
-            # cells' slice of the row is shifted by one.
-            cells = slice(layout[i].cols.start + 1, layout[i].cols.stop + 1)
-            out = []
-            for row, _ in partial:
-                after = tuple(map(add, cols, row))
-                out.append((row, after, tuple(accumulate(after, initial=1))[cells]))
-            return out
+                live[j] = (lo, hi, lo_v, hi_v)
+                lo, hi = lo - hi_v, hi - lo_v
+            partial = [(0,)]  # C(i + 1, 0), ..., C(i + 1, j)
+            for lo_s, hi_s, lo_v, hi_v in live:
+                partial = [q + (c,) for q in partial
+                           for c in range(max(lo_s, q[-1] + lo_v), min(hi_s, q[-1] + hi_v) + 1)]
+            return [q[1:] for q in partial]
 
         level = {(0,) * n: seed}
         for i in range(m):
             reached: dict = {}
-            for cols, payload in level.items():
-                for row, after, part in feasible_rows(i, cols):
+            for state, payload in level.items():
+                for after in next_states(i, state):
                     if after in reached:
-                        reached[after] += extend(payload, row, part)
+                        reached[after] += extend(payload, i, state, after)
                     else:
-                        reached[after] = extend(payload, row, part)
+                        reached[after] = extend(payload, i, state, after)
             level = reached
         return list(level.values())
 
@@ -255,17 +245,28 @@ class PasmPolytope:
         states of the level walk: the order-preserving map into
         {1, ..., t + 1} that the point matches, its corner sums plus 1 on the
         skew cells in row-major order."""
-        groups = self._scan(t, [()], lambda images, row, part: [image + part for image in images])
-        return list(chain.from_iterable(groups))
+        cols = [r.cols for r in self._row_layout()]
+
+        def extend(images, i, state, after):
+            part = tuple([c + 1 for c in after[cols[i]]])
+            return [image + part for image in images]
+
+        return list(chain.from_iterable(self._scan(t, [()], extend)))
 
     def _scan_rows(self, t: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """All integer points of the t-dilate in lexicographic (row-major)
         order, each as (rows, image): a tuple of int row tuples, and its
         image as in _scan_images.  The level walk carries the rows with the
         images; the points are sorted once at the end."""
-        groups = self._scan(t, [((), ())], lambda points, row, part: [
-            (rows + (row,), image + part) for rows, image in points])
-        return sorted(chain.from_iterable(groups))
+        cols = [r.cols for r in self._row_layout()]
+
+        def extend(points, i, state, after):
+            h = list(map(sub, after, state))  # H(i + 1, .)
+            row = tuple(map(sub, h, chain((0,), h)))
+            part = tuple([c + 1 for c in after[cols[i]]])
+            return [(rows + (row,), image + part) for rows, image in points]
+
+        return sorted(chain.from_iterable(self._scan(t, [((), ())], extend)))
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -279,10 +280,11 @@ class PasmPolytope:
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.
 
-        After every row the column partial sums are nonnegative and sum to t.
-        So at t = 1 the scan has at most n states per row, and its points are
-        the vertices, which vertices(), dim and the certificate's round trip
-        already list with no guard.  At t = 0 the scan yields one point.
+        At t = 1 every V(i, j) lies in [0, 1] and C(i, n) = 1 for i >= 1, so
+        a corner-sum row after a row is a 0/1 step that ends at 1: the scan
+        has at most n states per level, and its points are the vertices,
+        which vertices(), dim and the certificate's round trip already list
+        with no guard.  At t = 0 the scan yields one point.
         """
         if t < 0:
             raise ValueError("dilation factor must be nonnegative")
@@ -296,7 +298,7 @@ class PasmPolytope:
         """Number of integer matrices in the t-th dilate, by the level walk
         of the scan with one count per state: no point is listed."""
         self._check_dilate(t)
-        return DilateCount(t, sum(self._scan(t, 1, lambda count, row, part: count)))
+        return DilateCount(t, sum(self._scan(t, 1, lambda count, i, state, after: count)))
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""

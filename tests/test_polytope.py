@@ -21,8 +21,8 @@ from pasmpoly import (
     vertex_matrix,
 )
 import pasmpoly.polytope
-from pasmpoly.matrices import row_partial_sums
-from pasmpoly.polytope import DILATE_SIZE_LIMIT
+from pasmpoly.matrices import column_partial_sums, row_partial_sums
+from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
@@ -306,7 +306,7 @@ def _oracle_image(P: Matrix, cells) -> tuple[int, ...]:
 def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     # The one level walk, with each of its payloads: the rows with the
     # images in order, the images grouped by state, and the counts; the
-    # rows and counts also under a narrowed mid-row bound.
+    # rows and counts also under a narrowed mid-row or column bound.
     poly = PasmPolytope(shape)
     oracle = list(_scan_integer_points(poly, t))
     cells = shape.cells()
@@ -317,39 +317,52 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     assert poly.dilate_lattice_points(t).count == len(oracle)
 
     real = PasmPolytope._bounds
-    mid_row = [(edge, lo, hi) for edge, (lo, hi) in real(poly).items()
-               if edge[0] == "H" and edge[2] < poly.n and lo < hi]
-    if mid_row:
-        (kind, i, j), lo, hi = data.draw(st.sampled_from(mid_row))
+    narrowable = _narrowable_edges(poly)
+    if narrowable:
+        edge, lo, hi = data.draw(st.sampled_from(narrowable))
         value = data.draw(st.sampled_from((lo, hi)))
-        narrowed = {**real(poly), (kind, i, j): (value, value)}
-        kept = [P for P in oracle if row_partial_sums(P, i)[j - 1] == t * value]
+        narrowed = {**real(poly), edge: (value, value)}
+        kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
             assert poly.dilate_lattice_points(t).count == len(kept)
             assert [rows for rows, _ in poly._scan_rows(t)] == [P.rows for P in kept]
 
 
+def _narrowable_edges(poly: PasmPolytope) -> list[tuple[Edge, int, int]]:
+    """The two-valued bounds whose pinning can cut a scan state partway:
+    the H edges short of the last column, and every V edge."""
+    return [(edge, lo, hi) for edge, (lo, hi) in PasmPolytope._bounds(poly).items()
+            if lo < hi and (edge[0] == "V" or edge[2] < poly.n)]
+
+
+def _partial_sum(P: Matrix, edge: Edge) -> int:
+    """The partial sum of P on a grid edge."""
+    kind, i, j = edge
+    return row_partial_sums(P, i)[j - 1] if kind == "H" else column_partial_sums(P, j)[i - 1]
+
+
 def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatch):
-    # Pinning a two-valued row partial sum short of the last column makes
-    # rows die partway; the scan's live intervals must take that bound into
-    # account before and after its column and still list exactly the
-    # oracle's points that obey it, in order.
+    # Pinning a two-valued row partial sum short of the last column, or a
+    # two-valued column partial sum, makes next states die partway: the live
+    # intervals must take an H bound into account before and after its
+    # column, and each entry must obey the V step from its west neighbour.
+    # The scan must still list exactly the oracle's points that obey the
+    # pin, in order.
     real = PasmPolytope._bounds
     poly = example_polytope()
-    mid_row = [(edge, lo, hi) for edge, (lo, hi) in real(poly).items()
-               if edge[0] == "H" and edge[2] < poly.n and lo < hi]
-    assert mid_row
+    narrowable = _narrowable_edges(poly)
+    assert {edge[0] for edge, _, _ in narrowable} == {"H", "V"}
     for t in (1, 2, 3):
         oracle = list(_scan_integer_points(poly, t))
-        for (kind, i, j), lo, hi in mid_row:
+        for edge, lo, hi in narrowable:
             for value in (lo, hi):
-                narrowed = {**real(poly), (kind, i, j): (value, value)}
+                narrowed = {**real(poly), edge: (value, value)}
                 monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
-                kept = [P for P in oracle if row_partial_sums(P, i)[j - 1] == t * value]
+                kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
                 assert 0 < len(kept) < len(oracle)
-                assert poly.dilate_integer_points(t) == kept, (i, j, value, t)
-                assert poly.dilate_lattice_points(t).count == len(kept), (i, j, value, t)
+                assert poly.dilate_integer_points(t) == kept, (edge, value, t)
+                assert poly.dilate_lattice_points(t).count == len(kept), (edge, value, t)
 
 
 @given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
@@ -389,6 +402,25 @@ def test_t_at_most_one_scans_run_beyond_eight_cells():
                   SkewShape(Partition([6] * 5), Partition())):
         assert shape.size > DILATE_SIZE_LIMIT
         _assert_t_at_most_one_scans_list_the_vertices(PasmPolytope(shape))
+
+
+def test_t_one_scan_states_are_corner_sum_steps():
+    # The premise of the guardrail's pass at t = 1: every state after a row
+    # is a corner-sum row that steps once from 0 to 1, so each level of the
+    # walk holds at most n states.
+    shapes = [box for shape in all_skew_shapes(6) for box in _in_three_boxes(shape)]
+    shapes.append(SkewShape(Partition([9] * 8), Partition()))
+    for shape in shapes:
+        n = shape.n
+        steps = {(0,) * j + (1,) * (n - j) for j in range(n)}
+        levels = [set() for _ in range(shape.m)]
+
+        def extend(count, i, state, after):
+            levels[i].add(after)
+            return count
+
+        PasmPolytope(shape)._scan(1, 1, extend)
+        assert all(levels) and all(level <= steps for level in levels), shape
 
 
 def test_guardrails_raise_resource_limit():
