@@ -18,7 +18,10 @@ bounded by r x r minors of the scaled input, the same bound as for Bareiss
 elimination.  Because the basis is reduced, an incoming row is cleared of
 every pivot it hits in one pass: scaled by the lcm of those pivot entries,
 minus the multiple of each basis row read off the row itself, and its
-content is divided out once, not once per pivot.
+content is divided out once, not once per pivot.  When a new pivot joins,
+the back-reduction of each basis row that holds it is the same one-pass
+step with that one pivot.  The scale, an lcm, is positive, so a basis row
+keeps the sign of its pivot entry.
 
 The phase-1 simplex is fraction-free in the sense of Bareiss (Math. Comp.
 22, 1968): every tableau entry is an integer minor of the scaled input, so
@@ -48,19 +51,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _reduce(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
-    """q * row - a * b, with q = b[c] and a = row[c] over their gcd, so column c
-    vanishes; then divided by its content."""
-    q, a = b[c], row[c]
-    g = gcd(q, a)
-    q, a = q // g, a // g
-    out = dict(row) if q == 1 else {j: q * x for j, x in row.items()}
-    for j, y in b.items():
-        x = out.get(j, 0) - a * y
-        if x:
-            out[j] = x
-        else:
-            del out[j]
+def _clear(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """scale * row minus, for each pair (c, b) of pivots, the multiple of b
+    that clears column c, with scale the lcm of the pivot entries b[c]; then
+    divided by its content.  Each b must be zero on the other pivot columns,
+    so each multiple is read off the row itself."""
+    scale = lcm(*[b[c] for c, b in pivots])
+    out = dict(row) if scale == 1 else {j: scale * x for j, x in row.items()}
+    for c, b in pivots:
+        a = scale * row[c] // b[c]
+        for j, y in b.items():
+            x = out.get(j, 0) - a * y
+            if x:
+                out[j] = x
+            else:
+                del out[j]
     return _primitive(out)
 
 
@@ -72,29 +77,13 @@ def _reduced_basis(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
     for row in rows:
         if not isinstance(row, dict):
             row = {j: x for j, x in enumerate(_integer_row(row)) if x}
-        hits = [c for c in row if c in basis]
-        if hits:
-            # A basis row b_c is zero on the other pivots, so the multiple of
-            # b_c that clears pivot c is read off the incoming row, and one
-            # pass clears every pivot: vec = scale * row - sum of those
-            # multiples, with scale the lcm of the pivot entries.
-            scale = lcm(*[basis[c][c] for c in hits])
-            vec = dict(row) if scale == 1 else {j: scale * x for j, x in row.items()}
-            for c in hits:
-                b = basis[c]
-                a = scale * row[c] // b[c]
-                for j, y in b.items():
-                    vec[j] = vec.get(j, 0) - a * y
-            vec = {j: x for j, x in vec.items() if x}
-        else:
-            vec = row
-        vec = _primitive(vec)
+        vec = _clear(row, [(c, basis[c]) for c in row if c in basis])
         if not vec:
             continue
         p = min(vec)
-        for b in basis:
-            if p in basis[b]:
-                basis[b] = _reduce(basis[b], vec, p)
+        for c, b in basis.items():
+            if p in b:
+                basis[c] = _clear(b, [(p, vec)])
         basis[p] = vec
     return basis
 

@@ -13,6 +13,7 @@ west of the right arc is the sink.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Mapping, NamedTuple
 
 from .matrices import Scalar
@@ -142,23 +143,13 @@ def planar_hasse(P: SkewPoset) -> PlanarHasse:
         + ([edge_at[(BOTTOM, TOP)]] if not cells else [edge_at[(c, TOP)] for c in fan_up])
         + [right]
     )
-    present = set(cells)
     for c in cells:
         i, j = c
-        rot: list[int] = []
-        if (i, j + 1) in present:  # up-right
-            rot.append(edge_at[(c, (i, j + 1))])
-        if (c, TOP) in edge_at:  # straight up
-            rot.append(edge_at[(c, TOP)])
-        if (i + 1, j) in present:  # up-left
-            rot.append(edge_at[(c, (i + 1, j))])
-        if (i, j - 1) in present:  # down-left
-            rot.append(edge_at[((i, j - 1), c)])
-        if (BOTTOM, c) in edge_at:  # straight down
-            rot.append(edge_at[(BOTTOM, c)])
-        if (i - 1, j) in present:  # down-right
-            rot.append(edge_at[((i - 1, j), c)])
-        rotations[c] = rot
+        # Counterclockwise from up-right: up-right, straight up, up-left,
+        # down-left, straight down, down-right.
+        keys = ((c, (i, j + 1)), (c, TOP), (c, (i + 1, j)),
+                ((i, j - 1), c), (BOTTOM, c), ((i - 1, j), c))
+        rotations[c] = [edge_at[k] for k in keys if k in edge_at]
     return PlanarHasse(P, nodes, edges, rotations)
 
 
@@ -357,26 +348,21 @@ def count_integer_flows(G: FlowGraph, t: int) -> int:
         None if v == G.sink else [pos[G.edges[k].head] for k in G.out_edges(v)]
         for v in order
     ]
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
+    @cache
     def rec(p: int, supplies: tuple[int, ...]) -> int:
         # supplies[0] is the supply of order[p], supplies[k] that of order[p + k].
         if p == len(order):
             return 1
-        key = (p, supplies)
-        if key in memo:
-            return memo[key]
         rest = supplies[1:]
         if heads[p] is None:
-            total = rec(p + 1, rest)
-        else:
-            total = 0
-            for combo in _compositions(supplies[0], len(heads[p])):
-                nxt = list(rest)
-                for h, val in zip(heads[p], combo):
-                    nxt[h - p - 1] += val
-                total += rec(p + 1, tuple(nxt))
-        memo[key] = total
+            return rec(p + 1, rest)
+        total = 0
+        for combo in _compositions(supplies[0], len(heads[p])):
+            nxt = list(rest)
+            for h, val in zip(heads[p], combo):
+                nxt[h - p - 1] += val
+            total += rec(p + 1, tuple(nxt))
         return total
 
     supply = [0] * G.num_vertices

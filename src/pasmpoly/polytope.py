@@ -88,11 +88,10 @@ class _RowLayout(NamedTuple):
 class PasmPolytope:
     """H- and V-descriptions of the polytope for one skew shape."""
 
-    __slots__ = ("shape", "_vertices", "_table")
+    __slots__ = ("shape", "_table")
 
     def __init__(self, shape: SkewShape):
         self.shape = shape
-        self._vertices: list[Matrix] | None = None
         self._table: dict[Edge, tuple[int, int]] | None = None
 
     @property
@@ -176,10 +175,8 @@ class PasmPolytope:
 
     def vertices(self) -> list[Matrix]:
         """Profile matrices of all partitions between lam and nu."""
-        if self._vertices is None:
-            m, n, cache = self.m, self.n, {}
-            self._vertices = [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
-        return list(self._vertices)
+        m, n, cache = self.m, self.n, {}
+        return [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
 
     def _scan(self, t: int, seed, extend) -> list:
         """The level walk of the t-dilate: the payloads of its integer points,

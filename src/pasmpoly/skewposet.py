@@ -196,9 +196,9 @@ def _ideals_with_maxima(P: SkewPoset, masks: bool = True
     per row and list.  Row i's part q runs from the larger of lam_i and the
     part p of the row below (when that row holds cells) up to nu_i, and its
     cell (i, q) is maximal exactly when q exceeds both.  A row's additions
-    (offset tuple of the maximal cell, prefix bits) are built once per
-    start value.  Since later rows hold the higher bits, the walk lists the
-    ideals in increasing order.
+    (offset tuple of the maximal cell, prefix bits) are built once per part
+    of the row below.  Since later rows hold the higher bits, the walk
+    lists the ideals in increasing order.
     """
     rows = _skew_rows(P)
     delta = _lower_cover_offsets(rows)
@@ -207,13 +207,10 @@ def _ideals_with_maxima(P: SkewPoset, masks: bool = True
     shift = len(P)
     for lam, nu, joined in reversed(rows):
         shift -= nu - lam
-        start = {p: max(lam, p) if joined else lam for p in parts}
-        steps = {s: range(s, nu + 1) for s in set(start.values())}
-        tops = {s: [(-delta[shift + q - lam - 1],) if q > s else () for q in qs]
-                for s, qs in steps.items()}
-        bits = {s: [(1 << q - lam) - 1 << shift for q in qs] for s, qs in steps.items()}
-        # Each part p of the row below reads the additions of its start value.
-        steps, tops, bits = ({p: table[s] for p, s in start.items()} for table in (steps, tops, bits))
+        steps = {p: range(max(lam, p) if joined else lam, nu + 1) for p in parts}
+        tops = {p: [(-delta[shift + q - lam - 1],) if q > qs.start else () for q in qs]
+                for p, qs in steps.items()}
+        bits = {p: [(1 << q - lam) - 1 << shift for q in qs] for p, qs in steps.items()}
         if masks:
             ideals = [I | b for I, p in zip(ideals, below) for b in bits[p]]
         lower = [D + top for D, p in zip(lower, below) for top in tops[p]]

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses, checked on the
-syntax tree with the stdlib ast module."""
+"""No module of the package imports a name it never uses, and no
+module-level private name of the package goes unread, checked on the syntax
+tree with the stdlib ast module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,75 @@ def test_unused_imports_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the plain names assigned to."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under the node: as a name, as an
+    attribute or as an imported name."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+    return found
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (one leading underscore) of the given
+    modules that are read nowhere in them outside their own definition, as
+    sorted ``module.name``.  Names are matched by name alone, in any
+    module."""
+    defined, read = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read.update(_references(tree))
+        defined += [(module, name, node) for node in tree.body for name in _bound_names(node)
+                    if name.startswith("_") and not name.startswith("__")]
+    return sorted(f"{module}.{name}" for module, name, node in defined
+                  if read[name] == _references(node)[name])
+
+
+def test_unreferenced_private_names_flags_only_dead_helpers():
+    sources = {
+        "a": ("from . import b\n"
+              "from .b import _imported\n"
+              "__all__ = ['f']\n"
+              "_TABLE: dict = {}\n"
+              "_LIMIT = 3\n"
+              "def _recursive(k):\n"
+              "    return _recursive(k - 1) if k else 0\n"
+              "class _Gone:\n"
+              "    pass\n"
+              "def _helper(x=_LIMIT):\n"
+              "    return b._by_attribute + x\n"
+              "def f():\n"
+              "    return _helper() + _imported()\n"),
+        "b": ("_by_attribute = 1\n"
+              "_unused, _pair = 2, 3\n"
+              "def _imported():\n"
+              "    return _pair\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        "a._Gone", "a._TABLE", "a._recursive", "b._unused"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -208,6 +208,9 @@ def test_one_pass_reduction_over_two_non_unit_pivots():
     basis = _reduced_basis(rows)
     assert sorted(basis) == [0, 1, 2]
     assert_reduced_primitive_and_spans(rows, basis)
+    # The back-reduction by pivot 2 scales by |-5|, so each basis row keeps
+    # the sign of its pivot entry.
+    assert basis == {0: {0: 1}, 1: {1: 1}, 2: {2: -1}}
     # (2, 3, 2) is the sum of the pivot rows: it reduces to zero.
     rows = pivots + [[2, 3, 2]]
     basis = _reduced_basis(rows)
