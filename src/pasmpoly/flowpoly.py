@@ -13,8 +13,7 @@ west of the right arc is the sink.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .matrices import Scalar
 from .shapes import Cell
@@ -317,54 +316,39 @@ def is_flow(fl: Mapping[int, Scalar], G: FlowGraph) -> bool:
     )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def count_integer_flows(G: FlowGraph, t: int) -> int:
     """Number of nonnegative integer flows of size t (lattice points of the
     t-th dilate of the flow polytope).
 
-    Vertices are settled in topological order, each sending its whole supply
-    out along its edges.  The count from a position on depends only on the
-    supplies of the vertices at or after it (those before are never read
-    again), so it is memoized on that suffix.
+    A level walk over the edges, grouped by tail in topological order,
+    keeping the number of partial flows that reach each state.  A state is
+    the supply still held at each vertex, and the walk starts with t at
+    the source.  At each vertex other than the sink, each out-edge but the
+    last carries any amount 0..s of the tail's remaining supply s to its
+    head, and the last carries what is left.  The flows of size t are the
+    partial flows that end with all t at the sink.
     """
     if t < 0:
         raise ValueError("flow size must be nonnegative")
-    order = G.topological_order()
-    pos = {v: p for p, v in enumerate(order)}
-    # For each position, the positions its out-edges lead to, or None at the sink.
-    heads = [
-        None if v == G.sink else [pos[G.edges[k].head] for k in G.out_edges(v)]
-        for v in order
-    ]
-
-    @cache
-    def rec(p: int, supplies: tuple[int, ...]) -> int:
-        # supplies[0] is the supply of order[p], supplies[k] that of order[p + k].
-        if p == len(order):
-            return 1
-        rest = supplies[1:]
-        if heads[p] is None:
-            return rec(p + 1, rest)
-        total = 0
-        for combo in _compositions(supplies[0], len(heads[p])):
-            nxt = list(rest)
-            for h, val in zip(heads[p], combo):
-                nxt[h - p - 1] += val
-            total += rec(p + 1, tuple(nxt))
-        return total
-
-    supply = [0] * G.num_vertices
-    supply[pos[G.source]] = t
-    return rec(0, tuple(supply))
+    start = [0] * G.num_vertices
+    start[G.source] = t
+    counts = {tuple(start): 1}
+    for v in G.topological_order():
+        outs = [] if v == G.sink else G.out_edges(v)
+        for n, k in enumerate(outs, start=1):
+            h = G.edges[k].head
+            level: dict[tuple[int, ...], int] = {}
+            for state, c in counts.items():
+                s = state[v]
+                for a in range(s + 1) if n < len(outs) else (s,):
+                    key = state
+                    if a:
+                        nxt = list(state)
+                        nxt[v] -= a
+                        nxt[h] += a
+                        key = tuple(nxt)
+                    level[key] = level.get(key, 0) + c
+            counts = level
+    end = [0] * G.num_vertices
+    end[G.sink] = t
+    return counts.get(tuple(end), 0)

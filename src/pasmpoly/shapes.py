@@ -94,26 +94,20 @@ def enumerate_between(lam: Partition, nu: Partition) -> list[Partition]:
     """All partitions mu with lam <= mu <= nu, in lexicographic order.
 
     The count equals the number of order filters of the skew poset on
-    nu/lam cells.
+    nu/lam cells.  The partitions are walked by their parts from the first
+    row down, one list comprehension per row over the part tuples so far:
+    row k's part runs from lam_k to the smaller of nu_k and the part above,
+    a part 0 ending the partition.  Each row keeps the order of the rows
+    above and lists its parts in increasing order, and a partition that
+    ends sorts before those that go on, so the walk is lexicographic.
     """
     if not contains(lam, nu):
         raise ValueError(f"{lam!r} is not contained in {nu!r}")
-    out: list[Partition] = []
-    acc: list[int] = []
-
-    def rec(k: int, prev: int) -> None:
-        lo = lam.part(k)
-        hi = min(nu.part(k), prev)
-        if lo == 0:
-            out.append(Partition(acc))
-            lo = 1
-        for p in range(lo, hi + 1):
-            acc.append(p)
-            rec(k + 1, p)
-            acc.pop()
-
-    rec(1, nu.part(1))
-    return out
+    mus = [(p,) for p in range(lam.part(1), nu.part(1) + 1)]
+    for k in range(2, len(nu) + 1):
+        lo, hi = lam.part(k), nu.part(k)
+        mus = [mu + (p,) for mu in mus for p in range(lo, min(hi, mu[-1]) + 1)]
+    return [Partition(mu) for mu in mus]
 
 
 def border_strip(nu: Partition, m: int, n: int) -> frozenset[Cell]:

@@ -210,8 +210,8 @@ def _ideals_with_maxima(P: SkewPoset, masks: bool = True
         steps = {p: range(max(lam, p) if joined else lam, nu + 1) for p in parts}
         tops = {p: [(-delta[shift + q - lam - 1],) if q > qs.start else () for q in qs]
                 for p, qs in steps.items()}
-        bits = {p: [(1 << q - lam) - 1 << shift for q in qs] for p, qs in steps.items()}
         if masks:
+            bits = {p: [(1 << q - lam) - 1 << shift for q in qs] for p, qs in steps.items()}
             ideals = [I | b for I, p in zip(ideals, below) for b in bits[p]]
         lower = [D + top for D, p in zip(lower, below) for top in tops[p]]
         below = [q for p in below for q in steps[p]]

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Iterator
 
 import pytest
 
@@ -18,7 +20,7 @@ from pasmpoly import (
     planar_hasse,
     truncated_dual,
 )
-from pasmpoly.flowpoly import FlowGraph, _compositions
+from pasmpoly.flowpoly import FlowGraph
 from pasmpoly.skewposet import SkewPoset
 
 from families import all_skew_shapes
@@ -30,7 +32,21 @@ F = Fraction
 EXAMPLE = SkewShape(Partition([4, 2, 2]), Partition([3, 1]), 4, 5)
 
 
-# The recursion that the memoized count replaced, kept as its oracle.
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The ordered ways to write total as a sum of parts nonnegative
+    integers, by stars and bars: each weakly increasing choice of parts - 1
+    cut points in 0..total splits 0..total into the parts."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+# A vertex-by-vertex recursion over compositions, kept as the count's oracle:
+# it shares no code with the level walk over the edges.
 def _count_integer_flows_unmemoized(G: FlowGraph, t: int) -> int:
     """Number of nonnegative integer flows of size t (lattice points of the
     t-th dilate of the flow polytope)."""
@@ -236,6 +252,24 @@ def test_memoized_flow_count_matches_oracle():
             count = count_integer_flows(G, t)
             assert count == _count_integer_flows_unmemoized(G, t), (shape, t)
             assert count == order_polynomial_value(P, t + 1), (shape, t)
+
+
+def test_flow_count_on_hand_built_graphs():
+    from pasmpoly.flowpoly import FlowEdge
+
+    def graph(n, arcs, source, sink):
+        edges = [FlowEdge(a, b, (BOTTOM, TOP)) for a, b in arcs]
+        return FlowGraph(single_element_poset(), n, edges, source, sink)
+
+    cases = [
+        ("dead end", graph(3, [(0, 1), (0, 2)], 0, 1), [1, 1, 1, 1]),
+        ("sink with an out-edge", graph(3, [(0, 1), (1, 2)], 0, 1), [1, 1, 1, 1]),
+        ("two parallel edges", graph(2, [(0, 1), (0, 1)], 0, 1), [1, 2, 3, 4]),
+        ("one vertex", graph(1, [], 0, 0), [1, 1, 1, 1]),
+    ]
+    for name, G, counts in cases:
+        assert [count_integer_flows(G, t) for t in range(4)] == counts, name
+        assert [_count_integer_flows_unmemoized(G, t) for t in range(4)] == counts, name
 
 
 def test_count_integer_flows_validates():
