@@ -10,11 +10,12 @@ by the round trip through these two maps on every vertex, and by exact
 bijections of the vertices and of the integer points of small dilates onto
 order-preserving maps, compared as value tuples over the skew cells; it
 uses no randomness.  The dilate scan hands it the images of all the points
-of a dilate at once, grouped by scan state: each the order-preserving map
-into {1, ..., t + 1} that its point matches, built once per scan
-transition.  They are compared with the maps as sets, and the points' rows
-are listed only to name a counterexample.  The shape's row layout is read
-once per certificate, for the vertex images and their inverse.
+of a dilate at once, grouped by the scan's keys: each the order-preserving
+map into {1, ..., t + 1} that its point matches, extended once per key at
+the end of each row.  They are compared with the maps as sets, and the
+points' rows are listed only to name a counterexample.  The shape's row
+layout is read once per certificate, for the vertex images and their
+inverse.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       onto the order-preserving maps into {0, ..., t}: the set of their
       images is contained in the maps, and the points are as many as their
       distinct images and the maps.  The images come from the scan alone,
-      grouped by state; only when one of them is not such a map are the
+      grouped by key; only when one of them is not such a map are the
       points listed with their rows, and the lexicographically first point
       whose image is not a map is the counterexample.
 
@@ -157,7 +158,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return fail("vertex_bijection",
                     {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
-    # The scan hands over the images alone, grouped by state, and they are
+    # The scan hands over the images alone, grouped by key, and they are
     # compared as sets; the rows are rebuilt only to name the first point
     # whose image is not an order-preserving map.
     for t in range(1, t_max + 1):

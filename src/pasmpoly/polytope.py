@@ -25,25 +25,24 @@ straight from the parts of each partition.  The dimension comes from
 their sparse rank, and the equivalence certificate runs its round trip on
 them; vertices() wraps them in Matrix only for the public API.
 
-The t-th dilate scales the bounds by t.  Its integer points are scanned row
-by row (the transfer-matrix method), one level per row.  The state after
-row i is the corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, so every
-bound is on a difference of two corner sums: H(i, j) = C(i, j) - C(i - 1, j)
-against the previous state, V(i, j) = C(i, j) - C(i, j - 1) against the west
-neighbour.  The walk keeps, for each state, one payload for all the point
-prefixes that reach it: their images, their rows with their images, or
-their number.  The next states out of each state are drawn once per level,
-and each (state, next state) pair extends its state's whole payload in one
-list comprehension, so no frame is resumed per point.  The points come out
-grouped by state; the rows walk sorts them into row-major lexicographic
-order at the end.  A backward pass over the columns first finds each
-entry's live interval, its H interval cut by the V steps to the columns
-that remain; each entry is then drawn from it, cut by the V step from its
-west neighbour, so no partial state dies at a later column.  A point's
+The t-th dilate scales the bounds by t.  Its integer points are scanned
+one cell at a time in row-major order (the transfer-matrix method).  The
+corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, is complete after row i,
+and every bound is on a difference of two corner sums: H(i, j) = C(i, j) -
+C(i - 1, j) against the row above, V(i, j) = C(i, j) - C(i, j - 1) against
+the west neighbour.  So the key after cell (i, j) is C(i, 1..j) followed by
+C(i - 1, j + 1..n): the new row through column j, then the old row, and
+each entry is drawn from its H interval over the old entry it replaces and
+its V step from the new entry before it.  The walk keeps, for each key, one
+payload for all the point prefixes that reach it: their images, their
+paths of corner-sum rows, or their number; keys that meet add up their
+payloads.  At the end of each row a hook extends each key's payload once,
+in one list comprehension, so no frame is resumed per point: a point's
 image, its corner sums plus 1 on the skew cells (the order-preserving map
-into {1, ..., t + 1} that it matches), is its states' slices on the cells
-lifted by 1, and its rows are the second differences of consecutive
-states, both built once per transition.  At t = 1 the points are the
+into {1, ..., t + 1} that it matches), is the slices of its corner-sum
+rows on the cells lifted by 1, and its rows are their finite differences.
+The points come out grouped by key; the rows walk sorts them into
+row-major lexicographic order at the end.  At t = 1 the points are the
 vertices, so the scan doubles as the census of the inequality description;
 only dilates with t >= 2 pass a guardrail.
 """
@@ -51,11 +50,11 @@ only dilates with t >= 2 pass a guardrail.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterator, NamedTuple, Sequence
 
 from ._linalg import convex_combination_exists, rank
-from .matrices import Matrix, Scalar
+from .matrices import Matrix, Scalar, _inverse_corner_rows
 from .shapes import SkewShape
 
 DILATE_SIZE_LIMIT = 8
@@ -178,92 +177,55 @@ class PasmPolytope:
         m, n, cache = self.m, self.n, {}
         return [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
 
-    def _scan(self, t: int, seed, extend) -> list:
-        """The level walk of the t-dilate: the payloads of its integer points,
-        one per state after the last row, in the order the states are reached.
+    def _scan(self, t: int, seed, close) -> list:
+        """The cell walk of the t-dilate: the payloads of its integer points,
+        one per corner-sum row after the last row, in the order the rows are
+        reached.
 
-        The state after row i is the corner-sum row C(i, .), and the walk
-        keeps a dict from each state to one payload for all the point
-        prefixes that reach it, starting from ``seed`` at the zero state.
-        Each state's next states are drawn once, a column at a time; for each
-        (state, next state) pair ``extend(payload, i, state, after)`` gives
-        the payload of those prefixes extended by row i + 1 (i 0-based), and
-        the payloads that reach the same next state are added up with
-        ``+=``.  The row is the second difference of the two states, and the
-        row's slice of the image is after[cols] plus 1 for the cells'
-        columns ``cols``.
-
-        Each entry C(i + 1, j) is drawn from the range that keeps H(i + 1, j)
-        = C(i + 1, j) - C(i, j) live, within t times its bounds and still
-        able to reach the columns that remain (a backward pass per state),
-        and V(i + 1, j) = C(i + 1, j) - C(i + 1, j - 1) within t times its
-        bounds.  The bounds on the full line sums close every row and column.
+        The walk keeps a dict from each key to one payload for all the point
+        prefixes that reach it, starting from ``seed`` at the zero key, and
+        moves it through the cells in row-major order with _cell.  The key
+        after cell (i, j) is C(i, 1..j) followed by C(i - 1, j + 1..n), so
+        at the end of row i it is the corner-sum row ``after`` = C(i, .).
+        There ``close(payload, i, after)`` (i 0-based) gives the payload of
+        the prefixes extended by that row, once per key: a point's slice of
+        its image depends on ``after`` alone, which is after[cols] plus 1
+        for the row's cells' columns ``cols``.  The bounds on the full line
+        sums close every row and column.
         """
-        m, n = self.m, self.n
-        # scaled[i]: (lo_H, hi_H, lo_V, hi_V) of row i + 1, times t, per column.
-        bounds = self._bound_lists(t)
-        scaled = [list(zip(*(b[i * n:(i + 1) * n] for b in bounds))) for i in range(m)]
-
-        def next_states(i: int, state: tuple[int, ...]) -> list[tuple[int, ...]]:
-            """The next states C(i + 1, .) after the state C(i, .) (i 0-based),
-            in lexicographic order, which is that of their rows."""
-            # live[j]: the values of C(i + 1, j + 1) from which the state can
-            # still be completed: its H interval over state[j], cut by the
-            # V step into the next column, walked back from the last column.
-            live = [None] * n
-            lo, hi = state[-1] + scaled[i][-1][0], state[-1] + scaled[i][-1][1]
-            for j in range(n - 1, -1, -1):
-                lo_h, hi_h, lo_v, hi_v = scaled[i][j]
-                lo, hi = max(lo, state[j] + lo_h), min(hi, state[j] + hi_h)
-                if lo > hi:
-                    return []
-                live[j] = (lo, hi, lo_v, hi_v)
-                lo, hi = lo - hi_v, hi - lo_v
-            partial = [(0,)]  # C(i + 1, 0), ..., C(i + 1, j)
-            for lo_s, hi_s, lo_v, hi_v in live:
-                partial = [q + (c,) for q in partial
-                           for c in range(max(lo_s, q[-1] + lo_v), min(hi_s, q[-1] + hi_v) + 1)]
-            return [q[1:] for q in partial]
-
-        level = {(0,) * n: seed}
-        for i in range(m):
-            reached: dict = {}
-            for state, payload in level.items():
-                for after in next_states(i, state):
-                    if after in reached:
-                        reached[after] += extend(payload, i, state, after)
-                    else:
-                        reached[after] = extend(payload, i, state, after)
-            level = reached
-        return list(level.values())
+        n = self.n
+        lo_h, hi_h, lo_v, hi_v = self._bound_lists(t)
+        keys = {(0,) * n: seed}
+        for i in range(self.m):
+            for j, k in enumerate(range(i * n, (i + 1) * n)):
+                keys = _cell(keys, j, lo_h[k], hi_h[k], lo_v[k], hi_v[k])
+            keys = {after: close(payload, i, after) for after, payload in keys.items()}
+        return list(keys.values())
 
     def _scan_images(self, t: int) -> list[tuple[int, ...]]:
         """The image of every integer point of the t-dilate, grouped by the
-        states of the level walk: the order-preserving map into
+        keys of the cell walk: the order-preserving map into
         {1, ..., t + 1} that the point matches, its corner sums plus 1 on the
         skew cells in row-major order."""
         cols = [r.cols for r in self._row_layout()]
 
-        def extend(images, i, state, after):
+        def close(images, i, after):
             part = tuple([c + 1 for c in after[cols[i]]])
             return [image + part for image in images]
 
-        return list(chain.from_iterable(self._scan(t, [()], extend)))
+        return list(chain.from_iterable(self._scan(t, [()], close)))
 
     def _scan_rows(self, t: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """All integer points of the t-dilate in lexicographic (row-major)
         order, each as (rows, image): a tuple of int row tuples, and its
-        image as in _scan_images.  The level walk carries the rows with the
-        images; the points are sorted once at the end."""
+        image as in _scan_images.  The cell walk carries each point's path
+        of corner-sum rows; its rows are their finite differences, and the
+        points are sorted once at the end."""
         cols = [r.cols for r in self._row_layout()]
-
-        def extend(points, i, state, after):
-            h = list(map(sub, after, state))  # H(i + 1, .)
-            row = tuple(map(sub, h, chain((0,), h)))
-            part = tuple([c + 1 for c in after[cols[i]]])
-            return [(rows + (row,), image + part) for rows, image in points]
-
-        return sorted(chain.from_iterable(self._scan(t, [((), ())], extend)))
+        paths = self._scan(t, [()], lambda paths, i, after: [path + (after,) for path in paths])
+        return sorted((_inverse_corner_rows(path),
+                       tuple([c + 1 for row, cut in zip(path, cols) for c in row[cut]]))
+                      for path in chain.from_iterable(paths))
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -277,11 +239,16 @@ class PasmPolytope:
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.
 
-        At t = 1 every V(i, j) lies in [0, 1] and C(i, n) = 1 for i >= 1, so
-        a corner-sum row after a row is a 0/1 step that ends at 1: the scan
-        has at most n states per level, and its points are the vertices,
-        which vertices(), dim and the certificate's round trip already list
-        with no guard.  At t = 0 the scan yields one point.
+        At t = 1 every H(i, j) and V(i, j) lies in [0, 1] and C(i, n) = 1
+        for i >= 1, so the corner-sum row after a row is a 0/1 step that
+        ends at 1.  A key of the cell walk after column j is then a prefix
+        rising by steps of 0 or 1 and at most 1 above the row above: before
+        a suffix that starts at 0, a 0/1 step before a 0/1 step, at most
+        (j + 1)(n - j) keys; before a suffix of ones, values in {0, 1, 2},
+        at most (j + 1)(j + 2)/2 keys.  So every cell holds at most
+        (n + 1)(n + 2)/2 keys.  Its points are the vertices, which
+        vertices(), dim and the certificate's round trip already list with
+        no guard.  At t = 0 the scan yields one point.
         """
         if t < 0:
             raise ValueError("dilation factor must be nonnegative")
@@ -292,10 +259,10 @@ class PasmPolytope:
             )
 
     def dilate_lattice_points(self, t: int) -> DilateCount:
-        """Number of integer matrices in the t-th dilate, by the level walk
-        of the scan with one count per state: no point is listed."""
+        """Number of integer matrices in the t-th dilate, by the cell walk
+        of the scan with one count per key: no point is listed."""
         self._check_dilate(t)
-        return DilateCount(t, sum(self._scan(t, 1, lambda count, i, state, after: count)))
+        return DilateCount(t, sum(self._scan(t, 1, lambda count, i, after: count)))
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves."""
@@ -304,6 +271,27 @@ class PasmPolytope:
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"
+
+
+def _cell(keys: dict, j: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dict:
+    """One cell of the scan's walk, in column j + 1 of row i (j 0-based): each
+    key's entry C(i - 1, j + 1) is replaced by every C(i, j + 1) within
+    [lo_h, hi_h] over it (the H bound) and within [lo_v, hi_v] over the
+    key's C(i, j) before it, or 0 at j = 0 (the V bound).  Keys that meet
+    add up their payloads with ``+``; a key with no value dies."""
+    reached: dict = {}
+    for key, payload in keys.items():
+        north, west = key[j], key[j - 1] if j else 0
+        lo, hi = north + lo_h, north + hi_h
+        if lo < west + lo_v:
+            lo = west + lo_v
+        if hi > west + hi_v:
+            hi = west + hi_v
+        head, tail = key[:j], key[j + 1:]
+        for c in range(lo, hi + 1):
+            after = head + (c,) + tail
+            reached[after] = reached[after] + payload if after in reached else payload
+    return reached
 
 
 def _dense(entries: dict[int, int], m: int, n: int,

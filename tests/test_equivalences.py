@@ -227,8 +227,8 @@ def _corner_image(rows, cells):
 
 def _scan_with(monkeypatch, corrupt):
     """Replace the points of the private scan by corrupt(points, t, poly) of
-    their rows, taken in the order of the images that the level walk hands
-    the certificate: grouped by state.  The certificate reads the corrupted
+    their rows, taken in the order of the images that the cell walk hands
+    the certificate: grouped by key.  The certificate reads the corrupted
     points' images in that order, and the rows walk lists them sorted, as
     the real one does; the image of every point is recomputed from its rows."""
     real_images, real_rows = PasmPolytope._scan_images, PasmPolytope._scan_rows

@@ -23,6 +23,7 @@ from pasmpoly import (
 import pasmpoly.polytope
 from pasmpoly.matrices import column_partial_sums, row_partial_sums
 from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
+from pasmpoly.skewposet import order_polynomial_values
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
@@ -304,8 +305,8 @@ def _oracle_image(P: Matrix, cells) -> tuple[int, ...]:
 
 @given(boxed_skew_shapes(), st.integers(0, 3), st.data())
 def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
-    # The one level walk, with each of its payloads: the rows with the
-    # images in order, the images grouped by state, and the counts; the
+    # The one cell walk, with each of its payloads: the rows with the
+    # images in order, the images grouped by key, and the counts; the
     # rows and counts also under a narrowed mid-row or column bound.
     poly = PasmPolytope(shape)
     oracle = list(_scan_integer_points(poly, t))
@@ -330,7 +331,7 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
 
 
 def _narrowable_edges(poly: PasmPolytope) -> list[tuple[Edge, int, int]]:
-    """The two-valued bounds whose pinning can cut a scan state partway:
+    """The two-valued bounds whose pinning can kill a scan key partway:
     the H edges short of the last column, and every V edge."""
     return [(edge, lo, hi) for edge, (lo, hi) in PasmPolytope._bounds(poly).items()
             if lo < hi and (edge[0] == "V" or edge[2] < poly.n)]
@@ -344,9 +345,9 @@ def _partial_sum(P: Matrix, edge: Edge) -> int:
 
 def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatch):
     # Pinning a two-valued row partial sum short of the last column, or a
-    # two-valued column partial sum, makes next states die partway: the live
-    # intervals must take an H bound into account before and after its
-    # column, and each entry must obey the V step from its west neighbour.
+    # two-valued column partial sum, makes keys of the cell walk die
+    # partway: each entry must obey the H bound over the entry above it and
+    # the V step from its west neighbour.
     # The scan must still list exactly the oracle's points that obey the
     # pin, in order.
     real = PasmPolytope._bounds
@@ -404,23 +405,46 @@ def test_t_at_most_one_scans_run_beyond_eight_cells():
         _assert_t_at_most_one_scans_list_the_vertices(PasmPolytope(shape))
 
 
-def test_t_one_scan_states_are_corner_sum_steps():
-    # The premise of the guardrail's pass at t = 1: every state after a row
-    # is a corner-sum row that steps once from 0 to 1, so each level of the
-    # walk holds at most n states.
+def test_t_one_scan_states_are_corner_sum_steps(monkeypatch):
+    # The premise of the guardrail's pass at t = 1: every key at the end of
+    # a row is a corner-sum row that steps once from 0 to 1, and no column
+    # of the cell walk holds more than (n + 1)(n + 2)/2 <= (n + 1)^2 keys.
     shapes = [box for shape in all_skew_shapes(6) for box in _in_three_boxes(shape)]
     shapes.append(SkewShape(Partition([9] * 8), Partition()))
+    cell = pasmpoly.polytope._cell
+    held = []
+
+    def counted_cell(*args):
+        keys = cell(*args)
+        held.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(pasmpoly.polytope, "_cell", counted_cell)
     for shape in shapes:
         n = shape.n
         steps = {(0,) * j + (1,) * (n - j) for j in range(n)}
         levels = [set() for _ in range(shape.m)]
 
-        def extend(count, i, state, after):
+        def close(count, i, after):
             levels[i].add(after)
             return count
 
-        PasmPolytope(shape)._scan(1, 1, extend)
+        held.clear()
+        PasmPolytope(shape)._scan(1, 1, close)
         assert all(levels) and all(level <= steps for level in levels), shape
+        assert len(held) == shape.m * n and max(held) <= (n + 1) * (n + 2) // 2, shape
+
+
+def test_count_walk_beyond_the_guardrail():
+    # The count walk of the scan, called past the dilate guardrail, against
+    # the order polynomial: L(t) = Omega(P, t + 1).
+    for nu, t_max in (([6] * 5, 3), ([9] * 8, 2)):
+        shape = SkewShape(Partition(nu), Partition())
+        assert shape.size > DILATE_SIZE_LIMIT
+        poly, values = PasmPolytope(shape), order_polynomial_values(build_poset(shape), t_max + 1)
+        for t in range(t_max + 1):
+            assert sum(poly._scan(t, 1, lambda count, i, after: count)) == values[t], (nu, t)
+    assert values[2] == 118195220
 
 
 def test_guardrails_raise_resource_limit():
