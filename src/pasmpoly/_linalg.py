@@ -120,7 +120,8 @@ def _phase1_simplex(tab: list[list[int]]) -> bool:
         if entering is None:
             break
         # Ratio test b_i / a_i over a_i > 0 by cross-multiplication, Bland's
-        # tie-break on basis variable index.
+        # tie-break on basis variable index.  Some a_i > 0 always exists: the
+        # phase-1 objective is bounded below by 0.
         leaving = None
         for i in range(m):
             a = tab[i][entering]
@@ -132,10 +133,6 @@ def _phase1_simplex(tab: list[list[int]]) -> bool:
                 rhs = tab[leaving][n] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
-        if leaving is None:
-            # Unbounded phase-1 objective cannot happen (bounded below by 0);
-            # treat defensively as infeasible.
-            return False
         prow = tab[leaving]
         p = prow[entering]
         for i in range(m):
@@ -153,8 +150,6 @@ def convex_combination_exists(
     target: Sequence[Scalar], others: Sequence[Sequence[Scalar]]
 ) -> bool:
     """True iff target = sum c_k * others[k] with c >= 0 and sum c = 1."""
-    if not others:
-        return False
     dim = len(target)
     if any(len(o) != dim for o in others):
         raise ValueError("mixed vector dimensions")

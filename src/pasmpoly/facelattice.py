@@ -92,8 +92,6 @@ def region_count(labeling: Labeling) -> int:
     count of any plane embedding.
     """
     both = [e for e, lab in labeling.items() if lab == frozenset({0, 1})]
-    if not both:
-        return 0
     verts = set()
     for e in both:
         u, v = edge_endpoints(e)

@@ -33,7 +33,13 @@ class HasseEdge(NamedTuple):
 
 
 class PlanarHasse:
-    """Hasse diagram of the augmented poset with a planar rotation system."""
+    """Hasse diagram of the augmented poset with a planar rotation system.
+
+    Raises ValueError unless the diagram has one ``left`` and one ``right``
+    arc, each from BOTTOM to TOP; is connected; has Euler characteristic 2,
+    so is planar; and its outer face, left of the upward left arc, holds no
+    cover edge, so is the digon of the two arcs.
+    """
 
     __slots__ = ("poset", "nodes", "edges", "rotations", "faces", "_face_at", "outer_face")
 
@@ -44,6 +50,18 @@ class PlanarHasse:
         self.rotations: dict[Node, tuple[int, ...]] = {
             v: tuple(r) for v, r in rotations.items()
         }
+        arcs = [(edge.kind, edge.lo, edge.hi) for edge in self.edges if edge.kind != "cover"]
+        if len(arcs) != 2 or set(arcs) != {("left", BOTTOM, TOP), ("right", BOTTOM, TOP)}:
+            raise ValueError("diagram needs one left and one right arc from bottom to top")
+        reached, frontier = {BOTTOM}, [BOTTOM]
+        while frontier:
+            for e in self.rotations[frontier.pop()]:
+                for w in self.edges[e][:2]:
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
+        if reached != set(self.nodes):
+            raise ValueError("diagram is disconnected")
         self.faces: tuple[tuple[Dart, ...], ...] = self._trace_faces()
         self._face_at: dict[Dart, int] = {
             d: k for k, face in enumerate(self.faces) for d in face
@@ -51,7 +69,9 @@ class PlanarHasse:
         euler = len(self.nodes) - len(self.edges) + len(self.faces)
         if euler != 2:
             raise ValueError(f"rotation system is not planar (Euler characteristic {euler})")
-        self.outer_face = self._find_outer_face()
+        self.outer_face = self._face_at[([edge.kind for edge in self.edges].index("left"), True)]
+        if any(self.edges[e].kind == "cover" for e, _ in self.faces[self.outer_face]):
+            raise ValueError("outer face touches a non-arc edge")
 
     def _next_dart(self, dart: Dart) -> Dart:
         """Continue the boundary walk of the face on the left of the dart."""
@@ -81,15 +101,6 @@ class PlanarHasse:
                         break
                 faces.append(tuple(orbit))
         return tuple(faces)
-
-    def _find_outer_face(self) -> int:
-        left_up = next(
-            (e, True) for e, edge in enumerate(self.edges) if edge.kind == "left"
-        )
-        k = self._face_at[left_up]
-        if any(self.edges[e].kind == "cover" for e, _ in self.faces[k]):
-            raise ValueError("outer face touches a non-arc edge")
-        return k
 
     def face_of(self, dart: Dart) -> int:
         return self._face_at[dart]
@@ -239,43 +250,30 @@ def truncated_dual(H: PlanarHasse) -> FlowGraph:
 
     The dual edge crossing a diagram edge runs from the face on the west
     side to the face on the east side, putting the higher poset element on
-    the left during traversal.
+    the left during traversal.  The dual is connected: H is connected and
+    planar with the digon of the arcs as its outer face, so a path inside
+    the digon joins any two bounded faces and crosses only cover edges.
     """
     face_ids: dict[int, int] = {}
     for k in range(len(H.faces)):
         if k != H.outer_face:
             face_ids[k] = len(face_ids)
     dual_edges: list[FlowEdge] = []
-    left_idx = next(e for e, edge in enumerate(H.edges) if edge.kind == "left")
-    right_idx = next(e for e, edge in enumerate(H.edges) if edge.kind == "right")
     for e, edge in enumerate(H.edges):
         if edge.kind != "cover":
             continue
         west = H.face_of((e, True))
         east = H.face_of((e, False))
-        if west == H.outer_face or east == H.outer_face:
-            raise ValueError("outer face borders a non-arc edge")
         dual_edges.append(FlowEdge(face_ids[west], face_ids[east], (edge.lo, edge.hi)))
-    source = face_ids[H.face_of((left_idx, False))]
-    sink = face_ids[H.face_of((right_idx, True))]
+    kinds = [edge.kind for edge in H.edges]
+    source = face_ids[H.face_of((kinds.index("left"), False))]
+    sink = face_ids[H.face_of((kinds.index("right"), True))]
     G = FlowGraph(H.poset, len(face_ids), dual_edges, source, sink)
     if G.in_edges(G.source):
         raise ValueError("source face has incoming dual edges")
     if G.out_edges(G.sink):
         raise ValueError("sink face has outgoing dual edges")
     G.topological_order()  # raises if cyclic
-    reached = {G.source}
-    frontier = [G.source]
-    while frontier:
-        v = frontier.pop()
-        neighbours = [G.edges[k].head for k in G.out_edges(v)]
-        neighbours += [G.edges[k].tail for k in G.in_edges(v)]
-        for w in neighbours:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != G.num_vertices:
-        raise ValueError("flow graph is disconnected")
     return G
 
 

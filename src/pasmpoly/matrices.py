@@ -144,11 +144,8 @@ def column_partial_sums(M: Matrix, j: int) -> list[Scalar]:
 
 
 def is_partial_asm(M: Matrix) -> bool:
-    """Entries in {-1,0,1} with all row and column partial sums in {0,1}."""
-    if not M.is_integral():
-        return False
-    if any(x not in (-1, 0, 1) for row in M.rows for x in row):
-        return False
+    """All row and column partial sums in {0,1}, which makes every entry, the
+    difference of two consecutive row partial sums, an integer in {-1,0,1}."""
     for i in range(1, M.m + 1):
         if any(s not in (0, 1) for s in row_partial_sums(M, i)):
             return False
@@ -159,10 +156,9 @@ def is_partial_asm(M: Matrix) -> bool:
 
 
 def is_asm(M: Matrix) -> bool:
-    """Square partial ASM whose every full row and column sums to 1."""
+    """Square partial ASM whose every full row and column sums to 1.  Only the
+    columns are summed: the n rows then sum to n, and each to 0 or 1."""
     if M.m != M.n or not is_partial_asm(M):
-        return False
-    if any(sum(row) != 1 for row in M.rows):
         return False
     return all(sum(M.rows[i][j] for i in range(M.m)) == 1 for j in range(M.n))
 

@@ -339,8 +339,6 @@ def is_extreme(X: Matrix, others: list[Matrix]) -> bool:
     """
     if any(o.m != X.m or o.n != X.n for o in others):
         raise ValueError("mixed dimensions")
-    if not others:
-        return True
     support = [(i, j, a) for i, row in enumerate(X.rows) for j, a in enumerate(row) if a]
     norm = sum(a * a for _, _, a in support)
     if all(sum(a * o.rows[i][j] for i, j, a in support) < norm for o in others):

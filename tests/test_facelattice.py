@@ -135,6 +135,7 @@ def test_region_count_small():
     assert region_count(lab) == 3
     square = PasmPolytope(SkewShape(Partition([1]), Partition(), 2, 2))
     assert region_count(face_labeling(square)) == 1
+    assert region_count({}) == 0
 
 
 def test_region_count_matches_dimension_sweep():

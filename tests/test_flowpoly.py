@@ -20,7 +20,7 @@ from pasmpoly import (
     planar_hasse,
     truncated_dual,
 )
-from pasmpoly.flowpoly import FlowGraph
+from pasmpoly.flowpoly import FlowGraph, HasseEdge, PlanarHasse
 from pasmpoly.skewposet import SkewPoset
 
 from families import all_skew_shapes
@@ -150,12 +150,90 @@ def test_truncated_dual_worked_example():
     G.topological_order()
 
 
+def is_connected(G: FlowGraph) -> bool:
+    reached = {G.source}
+    for _ in range(G.num_vertices):
+        reached |= {v for e in G.edges if {e.tail, e.head} & reached for v in (e.tail, e.head)}
+    return len(reached) == G.num_vertices
+
+
 def test_dual_is_connected_despite_disconnected_poset():
     # The example poset has an isolated element; the sentinels join all
-    # components, so the dual stays connected (construction raises if not).
+    # components, so the diagram and its dual stay connected.
     P = build_poset(EXAMPLE)
     assert len(P.minimal_indices()) == 3
-    build_flow_graph(P)
+    assert is_connected(build_flow_graph(P))
+
+
+def edited_dual(nu, lam, rotations, reverse, kinds) -> FlowGraph:
+    """The flow graph of planar_hasse's diagram of nu/lam after replacing
+    some rotations, reversing the edges numbered in reverse and relabelling
+    the kind of the edges numbered in kinds."""
+    P = build_poset(SkewShape(Partition(nu), Partition(lam)))
+    H = planar_hasse(P)
+    edges = [e._replace(kind=kinds.get(k, e.kind)) for k, e in enumerate(H.edges)]
+    edges = [e._replace(lo=e.hi, hi=e.lo) if k in reverse else e for k, e in enumerate(edges)]
+    return truncated_dual(PlanarHasse(P, H.nodes, edges, {**H.rotations, **rotations}))
+
+
+# The diagram of (1) has edges 0 = bottom -> (1,1), 1 = (1,1) -> top, 2 = the
+# left arc and 3 = the right arc, with rotations bottom (3, 0, 2) and top
+# (2, 1, 3).  Each edit below fails one check of PlanarHasse or
+# truncated_dual, named by its message.
+@pytest.mark.parametrize("message, nu, lam, rotations, reverse, kinds", [
+    ("not planar", [1], [], {BOTTOM: (0, 3, 2)}, (), {}),
+    ("outer face", [1], [], {BOTTOM: (2, 0, 3), TOP: (1, 2, 3)}, (), {}),
+    ("source face", [1], [], {}, (1,), {}),
+    ("sink face", [2, 1], [], {}, (1,), {}),
+    ("not acyclic", [3, 3, 1], [1], {}, (7,), {}),
+    ("one left and one right arc", [1], [], {}, (), {2: "right"}),
+    ("one left and one right arc", [1], [], {}, (), {3: "left"}),
+    ("one left and one right arc", [1], [], {}, (3,), {}),
+], ids=["euler", "outer-face", "source", "sink", "acyclic",
+        "left-arc-relabelled", "right-arc-relabelled", "right-arc-reversed"])
+def test_each_flow_graph_check_rejects_an_edited_diagram(message, nu, lam, rotations, reverse, kinds):
+    with pytest.raises(ValueError, match=message):
+        edited_dual(nu, lam, rotations, reverse, kinds)
+
+
+def test_planar_hasse_rejects_a_non_planar_second_component():
+    # Two extra nodes joined by five edges, embedded on the torus: V - E + F
+    # is 2 - 5 + 3 = 0 there, so the total stays 2 and only the
+    # connectivity check can refuse it.
+    P = build_poset(SkewShape(Partition([1]), Partition()))
+    H = planar_hasse(P)
+    x, y = (9, 9), (9, 10)
+    extra = [(y, x), (x, y), (x, y), (x, y), (y, x)]
+    edges = [*H.edges, *(HasseEdge(lo, hi, "cover") for lo, hi in extra)]
+    rotations = {**H.rotations, x: (4, 7, 5, 8, 6), y: (6, 4, 7, 8, 5)}
+    with pytest.raises(ValueError, match="disconnected"):
+        PlanarHasse(P, [*H.nodes, x, y], edges, rotations)
+
+
+def test_every_accepted_edited_diagram_has_a_connected_dual():
+    # Shuffle one to three rotations or reverse one to three cover edges of
+    # planar_hasse's diagram: every refusal must be a ValueError, and every
+    # diagram accepted must give a connected flow graph.
+    rng = random.Random(7)
+    shapes = list(all_skew_shapes(4))
+    accepted = 0
+    for _ in range(600):
+        shape = rng.choice(shapes)
+        H = planar_hasse(build_poset(shape))
+        rotations, reverse = {}, set()
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                v = rng.choice(H.nodes)
+                rotations[v] = tuple(rng.sample(H.rotations[v], len(H.rotations[v])))
+            else:
+                reverse.add(rng.choice([k for k, e in enumerate(H.edges) if e.kind == "cover"]))
+        try:
+            G = edited_dual(shape.nu.parts, shape.lam.parts, rotations, reverse, {})
+        except ValueError:
+            continue
+        accepted += 1
+        assert is_connected(G)
+    assert accepted > 0
 
 
 def test_order_point_to_flow_single_element():

@@ -180,7 +180,7 @@ def test_naruse_count_beyond_the_enumeration(nu, lam):
 
 
 def test_naruse_count_rejects_non_nested():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not contained in"):
         naruse_count(Partition([1]), Partition([2]))
 
 

@@ -277,5 +277,6 @@ def test_convex_combination_examples():
     assert not convex_combination_exists([F(3, 2), 0], square)
     assert convex_combination_exists([1, 1], square)
     assert not convex_combination_exists([0, 0], [])
+    assert not convex_combination_exists([], [])
     with pytest.raises(ValueError):
         convex_combination_exists([0, 0], [[0]])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -69,6 +70,8 @@ def test_matrix_validation():
         Matrix([[1, 2], [3]])
     with pytest.raises(TypeError):
         Matrix([[0.5]])
+    with pytest.raises(TypeError):
+        Matrix([[True]])
 
 
 def test_entry_is_one_based():
@@ -87,6 +90,8 @@ def test_is_partial_asm():
     assert not is_partial_asm(Matrix([[2]]))
     assert not is_partial_asm(Matrix([[1, -1], [0, 0]]))  # column partial sum -1
     assert not is_partial_asm(Matrix([[0, -1], [1, 1]]))  # negative partial sum
+    assert not is_partial_asm(Matrix([[1, 1]]))  # row partial sum 2
+    assert not is_partial_asm(Matrix([[F(1, 2), F(1, 2)]]))  # sums to 1 in halves
 
 
 def test_is_asm():
@@ -95,6 +100,34 @@ def test_is_asm():
     assert is_asm(Matrix([[0,0,1,0], [0,1,-1,1], [0,0,1,0], [1,0,0,0]]))
     assert not is_asm(Matrix([[1, 0], [1, 0]]))
     assert not is_asm(Matrix([[1, 0]]))  # not square
+    assert not is_asm(Matrix([[1], [0]]))  # not square, though a partial ASM
+    assert not is_asm(Matrix([[2, -1], [-1, 2]]))  # line sums 1, not a partial ASM
+
+
+def entrywise_is_partial_asm(M: Matrix) -> bool:
+    """The definition with the entry checks spelled out, kept as an oracle:
+    integer entries in {-1,0,1}, then every row and column partial sum in
+    {0,1}."""
+    if any(x not in (-1, 0, 1) or not isinstance(x, int) for x in M.flatten()):
+        return False
+    return all(s in (0, 1) for i in range(1, M.m + 1) for s in row_partial_sums(M, i)) and all(
+        s in (0, 1) for j in range(1, M.n + 1) for s in column_partial_sums(M, j)
+    )
+
+
+def test_partial_sum_definition_matches_the_entrywise_one():
+    # Every matrix with at most 2 rows and 3 columns, or 3 rows and 2, over
+    # entries that cover each way an entry can fail.  The squares also
+    # check that is_asm needs no row sums.
+    for m, n in product(range(1, 4), repeat=2):
+        if m * n > 6:
+            continue
+        for flat in product((-1, 0, 1, 2, F(1, 2)), repeat=m * n):
+            M = Matrix([flat[i * n:(i + 1) * n] for i in range(m)])
+            expected = entrywise_is_partial_asm(M)
+            assert is_partial_asm(M) == expected, M
+            square_ones = m == n and all(sum(r) == 1 for r in M.rows + tuple(zip(*M.rows)))
+            assert is_asm(M) == (expected and square_ones), M
 
 
 def test_vertex_matrix_golden():

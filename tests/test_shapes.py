@@ -22,6 +22,8 @@ def test_partition_normalizes_trailing_zeros():
     assert len(Partition([3, 1])) == 2
     assert Partition([3, 1]).part(2) == 1
     assert Partition([3, 1]).part(7) == 0
+    with pytest.raises(IndexError):
+        Partition([2]).part(0)
 
 
 def test_partition_rejects_bad_input():
@@ -31,6 +33,8 @@ def test_partition_rejects_bad_input():
         Partition([2, -1])
     with pytest.raises(ValueError):
         Partition([2, 0, 1])
+    with pytest.raises(ValueError, match="interior zero"):
+        Partition([1, 0, 1])
 
 
 def test_partition_conjugate():
@@ -141,6 +145,8 @@ def test_skew_shape_validation():
         SkewShape(Partition([4]), Partition(), m=2, n=4)  # nu_1 > n-1
     with pytest.raises(ValueError):
         SkewShape(Partition([1, 1]), Partition(), m=2, n=2)  # too many rows
+    with pytest.raises(ValueError, match="ambient box dimensions must be positive"):
+        SkewShape(Partition(), Partition(), 0, 1)
 
 
 def test_minimal_box_defaults():

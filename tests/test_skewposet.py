@@ -162,6 +162,15 @@ def test_build_poset_degenerate():
     }
 
 
+def test_skew_poset_validation():
+    with pytest.raises(ValueError, match="duplicate"):
+        SkewPoset([(1, 1), (1, 1)], [])
+    with pytest.raises(ValueError, match="out of range"):
+        SkewPoset([(1, 1), (1, 2)], [(0, 2)])
+    with pytest.raises(ValueError, match="smaller to larger"):
+        SkewPoset([(1, 1), (1, 2)], [(1, 0)])
+
+
 def test_in_order_polytope():
     P = build_poset(EXAMPLE)
     assert in_order_polytope(P, ORDER_POINT_422_31)
