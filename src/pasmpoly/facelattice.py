@@ -3,15 +3,15 @@
 The grid graph of an m x n matrix has vertices (i, j) for i <= m+1,
 j <= n+1.  Edge ("H", i, j) joins (i, j) to (i, j+1) and carries the row-i
 partial sum through column j; edge ("V", i, j) joins (i, j) to (i+1, j) and
-carries the column-j partial sum through row i.  A labeling assigns each
-edge a nonempty subset of {0, 1}; the edges labeled by both values span a
-planar subgraph whose bounded-region count is the dimension of the
-corresponding face.
+carries the column-j partial sum through row i, as matrices._partial_sums
+computes them.  A labeling assigns each edge a nonempty subset of {0, 1};
+the edges labeled by both values span a planar subgraph whose
+bounded-region count is the dimension of the corresponding face.
 """
 
 from __future__ import annotations
 
-from .matrices import Matrix, column_partial_sums, is_partial_asm, row_partial_sums
+from .matrices import Matrix, _partial_sums, is_partial_asm
 from .polytope import Edge, PasmPolytope
 from .shapes import Partition
 
@@ -46,31 +46,21 @@ def outline_edges(mu: Partition, m: int, n: int) -> frozenset[Edge]:
 
 def basic_sum_labeling(M: Matrix) -> Labeling:
     """Singleton labeling of every grid edge by the matching partial sum."""
-    if not is_partial_asm(M):
-        raise ValueError("basic sum-labelings are defined for partial ASMs")
-    lab: Labeling = {}
-    for i in range(1, M.m + 1):
-        sums = row_partial_sums(M, i)
-        for j in range(1, M.n + 1):
-            lab[("H", i, j)] = frozenset({sums[j - 1]})
-    for j in range(1, M.n + 1):
-        sums = column_partial_sums(M, j)
-        for i in range(1, M.m + 1):
-            lab[("V", i, j)] = frozenset({sums[i - 1]})
-    return lab
+    return union_sum_labeling([M])
 
 
 def union_sum_labeling(mats: list[Matrix]) -> Labeling:
-    """Edgewise union of the basic sum-labelings of the given matrices."""
+    """Edgewise union of the basic sum-labelings of the given partial ASMs."""
     if not mats:
         raise ValueError("need at least one matrix")
-    if any(M.m != mats[0].m or M.n != mats[0].n for M in mats):
+    m, n = mats[0].m, mats[0].n
+    if any(M.m != m or M.n != n for M in mats):
         raise ValueError("mixed dimensions")
-    out: Labeling = {}
-    for M in mats:
-        for edge, label in basic_sum_labeling(M).items():
-            out[edge] = out.get(edge, frozenset()) | label
-    return out
+    if not all(map(is_partial_asm, mats)):
+        raise ValueError("basic sum-labelings are defined for partial ASMs")
+    edges = [(kind, i, j) for kind in "HV" for i in range(1, m + 1) for j in range(1, n + 1)]
+    sums = [h + v for h, v in (_partial_sums(M.rows) for M in mats)]
+    return {edge: frozenset(labels) for edge, *labels in zip(edges, *sums)}
 
 
 def face_labeling(poly: PasmPolytope) -> Labeling:

@@ -7,7 +7,7 @@ Indexing is 1-based with row index increasing downward.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -125,42 +125,26 @@ def _pretty(rows: Sequence[Sequence[Scalar]], cache: dict) -> str:
     return "\n".join(lines)
 
 
-def row_partial_sums(M: Matrix, i: int) -> list[Scalar]:
-    """Partial sums of row i through columns 1..n."""
-    out, s = [], 0
-    for x in M.rows[i - 1]:
-        s += x
-        out.append(s)
-    return out
-
-
-def column_partial_sums(M: Matrix, j: int) -> list[Scalar]:
-    """Partial sums of column j through rows 1..m."""
-    out, s = [], 0
-    for i in range(M.m):
-        s += M.rows[i][j - 1]
-        out.append(s)
-    return out
+def _partial_sums(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Scalar], list[Scalar]]:
+    """The row and column partial sums H(i, j) and V(i, j) of a grid given as
+    rows, as two flat lists indexed by (i - 1) * n + (j - 1)."""
+    h = list(chain.from_iterable(map(accumulate, rows)))
+    v = list(chain.from_iterable(accumulate(rows, lambda a, b: list(map(add, a, b)))))
+    return h, v
 
 
 def is_partial_asm(M: Matrix) -> bool:
     """All row and column partial sums in {0,1}, which makes every entry, the
     difference of two consecutive row partial sums, an integer in {-1,0,1}."""
-    for i in range(1, M.m + 1):
-        if any(s not in (0, 1) for s in row_partial_sums(M, i)):
-            return False
-    for j in range(1, M.n + 1):
-        if any(s not in (0, 1) for s in column_partial_sums(M, j)):
-            return False
-    return True
+    h, v = _partial_sums(M.rows)
+    return all(s in (0, 1) for s in chain(h, v))
 
 
 def is_asm(M: Matrix) -> bool:
     """Square partial ASM whose every full row and column sums to 1.  Only the
     columns are summed: the n rows then sum to n, and each to 0 or 1."""
-    if M.m != M.n or not is_partial_asm(M):
-        return False
-    return all(sum(M.rows[i][j] for i in range(M.m)) == 1 for j in range(M.n))
+    h, v = _partial_sums(M.rows)
+    return M.m == M.n and all(s in (0, 1) for s in chain(h, v)) and v[-M.n:] == [1] * M.n
 
 
 def vertex_matrix(mu: Partition, m: int, n: int) -> Matrix:

@@ -49,12 +49,12 @@ only dilates with t >= 2 pass a guardrail.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
-from operator import add, le
+from itertools import chain
+from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
 from ._linalg import convex_combination_exists, rank
-from .matrices import Matrix, Scalar, _inverse_corner_rows
+from .matrices import Matrix, Scalar, _inverse_corner_rows, _partial_sums
 from .shapes import SkewShape
 
 DILATE_SIZE_LIMIT = 8
@@ -323,8 +323,7 @@ def _within(bound_lists: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]
     """True iff every row and column partial sum of the grid lies within the
     bounds of PasmPolytope._bound_lists."""
     lo_h, hi_h, lo_v, hi_v = bound_lists
-    h = list(chain.from_iterable(map(accumulate, rows)))
-    v = list(chain.from_iterable(accumulate(rows, lambda a, b: list(map(add, a, b)))))
+    h, v = _partial_sums(rows)
     return (all(map(le, lo_h, h)) and all(map(le, h, hi_h))
             and all(map(le, lo_v, v)) and all(map(le, v, hi_v)))
 

@@ -1,6 +1,7 @@
 """Test points: rational points of a polytope, built in ``Fraction``
-arithmetic from its vertex matrices, and the 0/1 points of an order
-polytope."""
+arithmetic from its vertex matrices, the 0/1 points of an order polytope,
+and the partial sums of a matrix, one line at a time, as an oracle for the
+package's flat partial-sum kernel."""
 
 from fractions import Fraction
 
@@ -25,3 +26,21 @@ def convex_combination(weights, mats) -> Matrix:
         [sum(Fraction(w) * M.rows[i][j] for w, M in zip(weights, mats)) for j in range(n)]
         for i in range(m)
     )
+
+
+def row_partial_sums(M: Matrix, i: int) -> list:
+    """Partial sums of row i through columns 1..n."""
+    out, s = [], 0
+    for x in M.rows[i - 1]:
+        s += x
+        out.append(s)
+    return out
+
+
+def column_partial_sums(M: Matrix, j: int) -> list:
+    """Partial sums of column j through rows 1..m."""
+    out, s = [], 0
+    for i in range(M.m):
+        s += M.rows[i][j - 1]
+        out.append(s)
+    return out

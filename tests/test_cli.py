@@ -73,6 +73,9 @@ def test_volume(capsys):
     code, out = run(capsys, "volume", "--lambda", "3,1", "--nu", "4,2,2")
     assert code == 0
     assert out.count("8") >= 2
+    code, out = run(capsys, "volume", "--lambda", "3,1", "--nu", "4,2,2", "--format", "json")
+    assert code == 0
+    assert out == '{"linear_extensions": 8, "hook_formula": 8, "agree": true}\n'
 
 
 def test_volume_at_scale(capsys):
@@ -178,6 +181,17 @@ def test_matrix_with_zero_denominator_is_a_usage_error(tmp_path, capsys):
                                 "bad matrix entry '1/0': zero denominator\n")
 
 
+def test_matrix_with_float_entry_is_a_usage_error(tmp_path, capsys):
+    # Entries are exact: a JSON float is refused at the input boundary.
+    src = tmp_path / "matrix.json"
+    src.write_text('{"m": 2, "n": 2, "entries": [[0.5, 0], [0, 1]]}')
+    code = main(["check", "--nu", "2,1", "--matrix", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read matrix from {src}: bad matrix entry 0.5\n"
+
+
 def test_phi(tmp_path, capsys):
     src = tmp_path / "matrix.json"
     src.write_text(json.dumps(PARTIAL_4.to_json_dict()))
@@ -205,6 +219,10 @@ def test_face_labeling(capsys):
                     "--format", "dot")
     assert code == 0
     assert "style=bold" in out
+    # The text form is the line that bench parses for the region count.
+    code, out = run(capsys, "face-labeling", "--lambda", "3,1", "--nu", "4,2,2")
+    assert code == 0
+    assert out == "regions: 4\n"
 
 
 def test_flow_graph(capsys):

@@ -20,7 +20,7 @@ from pasmpoly import (
 )
 from pasmpoly import equivalences
 from pasmpoly.equivalences import certificate_passes
-from pasmpoly.matrices import _corner_rows, column_partial_sums, row_partial_sums
+from pasmpoly.matrices import _corner_rows
 
 from families import all_skew_shapes, staircase
 from golden import (
@@ -29,7 +29,7 @@ from golden import (
     PARTIAL_4,
     RATIONAL_POINT_422_31,
 )
-from points import convex_combination, filter_indicator
+from points import column_partial_sums, convex_combination, filter_indicator, row_partial_sums
 
 F = Fraction
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
@@ -208,6 +209,36 @@ def test_planar_hasse_rejects_a_non_planar_second_component():
     rotations = {**H.rotations, x: (4, 7, 5, 8, 6), y: (6, 4, 7, 8, 5)}
     with pytest.raises(ValueError, match="disconnected"):
         PlanarHasse(P, [*H.nodes, x, y], edges, rotations)
+
+
+@pytest.mark.parametrize("edit, node", [
+    ("append", (1, 1)), ("drop", BOTTOM), ("delete", (1, 2)),
+], ids=["non-incident-edge-appended", "incident-edge-dropped", "rotation-deleted"])
+def test_planar_hasse_rejects_a_rotation_that_is_not_its_nodes_edges(edit, node):
+    # Without the check, the first edit never closes its face orbit, the
+    # second fails inside tuple.index and the third with a KeyError.
+    P = build_poset(SkewShape(Partition([2, 1]), Partition()))
+    H = planar_hasse(P)
+    rotations = dict(H.rotations)
+    if edit == "append":
+        rotations[node] += (next(k for k, e in enumerate(H.edges) if node not in e[:2]),)
+    elif edit == "drop":
+        rotations[node] = rotations[node][1:]
+    else:
+        del rotations[node]
+    with pytest.raises(ValueError, match=re.escape(f"rotation at node {node!r} does not list its incident edges")):
+        PlanarHasse(P, H.nodes, H.edges, rotations)
+
+
+def test_planar_hasse_rejects_a_loop():
+    # A loop is incident to its node twice, so no rotation lists its edges
+    # once each, and the face walk could not tell the loop's two darts apart.
+    P = build_poset(SkewShape(Partition([1]), Partition()))
+    H = planar_hasse(P)
+    edges = [*H.edges, HasseEdge((1, 1), (1, 1), "cover")]
+    rotations = {**H.rotations, (1, 1): (*H.rotations[(1, 1)], 4, 4)}
+    with pytest.raises(ValueError, match=re.escape("rotation at node (1, 1) does not list")):
+        PlanarHasse(P, H.nodes, edges, rotations)
 
 
 def test_every_accepted_edited_diagram_has_a_connected_dual():

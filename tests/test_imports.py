@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, and no
-module-level private name of the package goes unread, checked on the syntax
-tree with the stdlib ast module."""
+"""No module of the package imports a name it never uses, no module-level
+private name of the package goes unread, and every public function or class
+is exported or read, checked on the syntax tree with the stdlib ast
+module."""
 
 import ast
 from collections import Counter
@@ -9,6 +10,13 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pasmpoly"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's ``__all__``, if it has one."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,10 +32,7 @@ def unused_imports(source: str) -> list[str]:
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
-            read.update(ast.literal_eval(node.value))
-    return sorted(bound - read)
+    return sorted(bound - read - _exported(tree))
 
 
 def test_unused_imports_flags_only_unread_names():
@@ -116,3 +121,51 @@ def test_unreferenced_private_names_flags_only_dead_helpers():
 def test_no_dead_private_helpers():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unexported_unread_public_names(sources: dict[str, str]) -> list[str]:
+    """The module-level public functions and classes (no leading underscore)
+    of the given modules that no ``__all__`` of them lists and that are read
+    nowhere in them outside their own definition, as sorted
+    ``module.name``.  Names are matched by name alone, in any module."""
+    defined, read, exported = [], Counter(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read.update(_references(tree))
+        exported |= _exported(tree)
+        defined += [(module, node) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+    return sorted(f"{module}.{node.name}" for module, node in defined
+                  if node.name not in exported and read[node.name] == _references(node)[node.name])
+
+
+def test_unexported_unread_public_names_flags_only_test_only_helpers():
+    sources = {
+        "a": ("from .b import Used, imported\n"
+              "__all__ = ['f', 'Exported']\n"
+              "def f():\n"
+              "    return Used() + imported() + b.by_attribute()\n"
+              "class Exported:\n"
+              "    pass\n"
+              "def recursive(k):\n"
+              "    return recursive(k - 1) if k else 0\n"
+              "def _private():\n"
+              "    pass\n"
+              "def helper(x):\n"
+              "    return x\n"),
+        "b": ("class Used:\n"
+              "    pass\n"
+              "class Gone:\n"
+              "    pass\n"
+              "def imported():\n"
+              "    return 1\n"
+              "def by_attribute():\n"
+              "    return 2\n"),
+    }
+    assert unexported_unread_public_names(sources) == ["a.helper", "a.recursive", "b.Gone"]
+
+
+def test_every_public_name_is_exported_or_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unexported_unread_public_names(sources) == []

@@ -13,10 +13,11 @@ from pasmpoly import (
     is_partial_asm,
     vertex_matrix,
 )
-from pasmpoly.matrices import _pretty, column_partial_sums, row_partial_sums
+from pasmpoly.matrices import _partial_sums, _pretty
 from pasmpoly.shapes import enumerate_between
 
 from golden import CORNER_SUMS_422_31, PROFILE_5331, RATIONAL_POINT_422_31
+from points import column_partial_sums, row_partial_sums
 
 F = Fraction
 
@@ -192,6 +193,14 @@ def test_partial_sum_helpers():
     M = Matrix([[0, 1], [1, -1]])
     assert row_partial_sums(M, 2) == [1, 0]
     assert column_partial_sums(M, 2) == [1, 0]
+    assert _partial_sums(M.rows) == ([0, 1, 1, 0], [0, 1, 1, 0])
+
+
+@given(rational_matrices())
+def test_partial_sum_kernel_matches_the_line_oracle(M):
+    h, v = _partial_sums(M.rows)
+    assert h == [s for i in range(1, M.m + 1) for s in row_partial_sums(M, i)]
+    assert v == [column_partial_sums(M, j)[i - 1] for i in range(1, M.m + 1) for j in range(1, M.n + 1)]
 
 
 def test_json_round_trip():

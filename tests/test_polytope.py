@@ -21,13 +21,12 @@ from pasmpoly import (
     vertex_matrix,
 )
 import pasmpoly.polytope
-from pasmpoly.matrices import column_partial_sums, row_partial_sums
 from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
 from pasmpoly.skewposet import order_polynomial_values
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
-from points import convex_combination
+from points import column_partial_sums, convex_combination, row_partial_sums
 from test_linalg import fraction_convex_combination_exists, fraction_rank
 
 F = Fraction
