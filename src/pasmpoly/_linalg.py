@@ -8,9 +8,10 @@ floating point is used.
 ``rank`` keeps an incremental Gauss-Jordan basis of sparse rows
 (``{column: int}``), so its cost follows the nonzero entries, not the
 dense shape.  It takes dense rows, which it sparsifies, or sparse int rows
-as they are: the polytope's dimension hands it its vertex rows, with at
-most 2m - 1 nonzeros each.  Every basis row is divided by its content (the
-gcd of its entries) after each update, so it stays primitive.  The basis is
+as they are: the polytope's dimension hands it the first vertex row and
+the distinct differences of consecutive vertex rows, at most d + 1 sparse
+rows in all.  Every basis row is divided by its content (the gcd of its
+entries) after each update, so it stays primitive.  The basis is
 reduced: its pivot columns are zero in every other basis row, so each basis
 row is, up to sign, the primitive integer vector of the row span that
 vanishes on the other pivot columns.  By Cramer's rule its entries are

@@ -36,10 +36,11 @@ class PlanarHasse:
     """Hasse diagram of the augmented poset with a planar rotation system.
 
     Raises ValueError unless the diagram has one ``left`` and one ``right``
-    arc, each from BOTTOM to TOP; lists in each node's rotation the node's
-    incident edges, once each, so every face orbit closes; is connected; has
-    Euler characteristic 2, so is planar; and its outer face, left of the
-    upward left arc, holds no cover edge, so is the digon of the two arcs.
+    arc, each from BOTTOM to TOP; has both endpoints of every edge among its
+    nodes; lists in each node's rotation the node's incident edges, once
+    each, so every face orbit closes; is connected; has Euler
+    characteristic 2, so is planar; and its outer face, left of the upward
+    left arc, holds no cover edge, so is the digon of the two arcs.
     """
 
     __slots__ = ("poset", "nodes", "edges", "rotations", "faces", "_face_at", "outer_face")
@@ -54,13 +55,15 @@ class PlanarHasse:
         arcs = [(edge.kind, edge.lo, edge.hi) for edge in self.edges if edge.kind != "cover"]
         if len(arcs) != 2 or set(arcs) != {("left", BOTTOM, TOP), ("right", BOTTOM, TOP)}:
             raise ValueError("diagram needs one left and one right arc from bottom to top")
-        incident: dict[Node, list[int]] = {}
+        incident: dict[Node, list[int]] = {v: [] for v in self.nodes}
         for k, edge in enumerate(self.edges):
             for w in edge[:2]:
-                incident.setdefault(w, []).append(k)
+                if w not in incident:
+                    raise ValueError(f"edge {k} has endpoint {w!r}, which is not a node")
+                incident[w].append(k)
         for v in self.nodes:
             rotation = self.rotations.get(v, ())
-            if len(set(rotation)) != len(rotation) or sorted(rotation) != incident.get(v, []):
+            if len(set(rotation)) != len(rotation) or sorted(rotation) != incident[v]:
                 raise ValueError(f"rotation at node {v!r} does not list its incident edges once each")
         reached, frontier = {BOTTOM}, [BOTTOM]
         while frontier:

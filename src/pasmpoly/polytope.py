@@ -21,9 +21,10 @@ sums.
 
 Inside the package the vertices are held as sparse int rows, one
 {i * n + j: +-1} dict per profile with at most 2m - 1 nonzeros, walked
-straight from the parts of each partition.  The dimension comes from
-their sparse rank, and the equivalence certificate runs its round trip on
-them; vertices() wraps them in Matrix only for the public API.
+straight from the parts of each partition.  The dimension comes from the
+sparse rank of the first row and the distinct differences of consecutive
+rows, at most |nu/lam| of them; the equivalence certificate runs its round
+trip on the rows; vertices() wraps them in Matrix only for the public API.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -49,7 +50,7 @@ only dilates with t >= 2 pass a guardrail.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, pairwise
 from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
@@ -233,8 +234,22 @@ class PasmPolytope:
         The entries of every vertex sum to 1, so the affine hull misses the
         origin and the linear span of the vertices is one dimension larger:
         the dimension is the rank of the sparse vertex rows, minus 1.
+
+        The rank gets the first vertex row v_1 and the distinct differences
+        v_{k+1} - v_k of consecutive rows in walk order.  They span what the
+        rows span (a unitriangular change of generators, and a repeated row
+        adds nothing), and every vertex is still read.  From one partition
+        to the next in the walk, one part goes up by 1 and the later parts
+        drop back to lam, so a difference depends only on that part and its
+        old value: at most |nu/lam| of them are distinct.
         """
-        return rank(self._vertex_rows()) - 1
+        rows = self._vertex_rows()
+        first = next(rows)
+        # A position where two rows differ is in the symmetric difference
+        # of their items, once or, where the entry flips sign, twice.
+        steps = {frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()])
+                 for a, b in pairwise(chain([first], rows))}
+        return rank([first, *map(dict, steps)]) - 1
 
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.

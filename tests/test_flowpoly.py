@@ -230,6 +230,17 @@ def test_planar_hasse_rejects_a_rotation_that_is_not_its_nodes_edges(edit, node)
         PlanarHasse(P, H.nodes, H.edges, rotations)
 
 
+def test_planar_hasse_rejects_an_edge_to_a_stray_node():
+    # Without the check, the connectivity walk raised a bare KeyError on the
+    # stray node's missing rotation.
+    P = build_poset(SkewShape(Partition([1]), Partition()))
+    H = planar_hasse(P)
+    edges = [*H.edges, HasseEdge((1, 1), (5, 5), "cover")]
+    rotations = {**H.rotations, (1, 1): (*H.rotations[(1, 1)], len(H.edges))}
+    with pytest.raises(ValueError, match=re.escape(f"edge {len(H.edges)} has endpoint (5, 5), which is not a node")):
+        PlanarHasse(P, H.nodes, edges, rotations)
+
+
 def test_planar_hasse_rejects_a_loop():
     # A loop is incident to its node twice, so no rotation lists its edges
     # once each, and the face walk could not tell the loop's two darts apart.

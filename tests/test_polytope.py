@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 import pytest
@@ -21,6 +21,7 @@ from pasmpoly import (
     vertex_matrix,
 )
 import pasmpoly.polytope
+from pasmpoly._linalg import rank
 from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
 from pasmpoly.skewposet import order_polynomial_values
 
@@ -471,6 +472,25 @@ def test_dimension_examples():
 def test_dimension_equals_skew_size_sweep():
     for shape in all_skew_shapes(7):
         assert PasmPolytope(shape).dimension() == shape.size
+
+
+def test_dimension_ranks_the_first_row_and_the_distinct_steps(monkeypatch):
+    # One rank call on at most d + 1 rows, against the rank of every vertex
+    # row as the oracle.
+    calls = []
+
+    def spy(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(pasmpoly.polytope, "rank", spy)
+    for shape in chain.from_iterable(map(_in_three_boxes, all_skew_shapes(7))):
+        poly = PasmPolytope(shape)
+        calls.clear()
+        dim = poly.dimension()
+        assert len(calls) == 1 and calls[0] <= shape.size + 1, shape
+        assert dim == rank(list(poly._vertex_rows())) - 1, shape
 
 
 def test_is_extreme():
