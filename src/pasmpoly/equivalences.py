@@ -13,8 +13,9 @@ uses no randomness.  The dilate scan hands it the images of all the points
 of a dilate at once, grouped by the scan's keys: each the order-preserving
 map into {1, ..., t + 1} that its point matches, extended once per key at
 the end of each row.  They are compared with the maps as sets, and the
-points' rows are listed only to name a counterexample.  The shape's row
-layout is read once per certificate, for the vertex images and their
+points are listed, by dilate_integer_points, only to name a
+counterexample.  The vertex round trip reads vertices(), and the shape's
+row layout is read once per certificate, for the vertex images and their
 inverse.
 """
 
@@ -25,7 +26,7 @@ from operator import add, getitem
 from typing import Sequence
 
 from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_rows
-from .polytope import PasmPolytope, _RowLayout, _dense, _within
+from .polytope import PasmPolytope, _RowLayout, _within
 from .shapes import Cell
 from .skewposet import build_poset, enumerate_order_preserving_maps, in_order_polytope
 
@@ -93,22 +94,24 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     order: corner sums of points against order-preserving maps of the cell
     poset, each set of maps enumerated once.  Checks, all exact:
 
-    * every vertex V survives the round trip
+    * every vertex V of ``poly.vertices()`` survives the round trip
       ``from_order_point(to_order_point(V)) == V``: V is within the
       inequality description, and its image goes back to V through the
       inverse kernel of :func:`from_order_point`.  Both maps are affine and
       the vertices span the affine hull, so the corner-sum map is injective
       on the hull with an integral affine inverse;
-    * the vertex images are distinct and are exactly the order-preserving
-      maps into {0, 1}, the filter indicators.  This puts every image in the
-      order polytope, so an image outside it fails here, not the round trip;
+    * the vertex images, lifted by 1, are distinct and are exactly the
+      order-preserving maps into {1, 2}, the filter indicators plus 1.  This
+      puts every image in the order polytope, so an image outside it fails
+      here, not the round trip;
     * for each t <= t_max, the integer points of the t-th dilate biject
-      onto the order-preserving maps into {0, ..., t}: the set of their
-      images is contained in the maps, and the points are as many as their
-      distinct images and the maps.  The images come from the scan alone,
-      grouped by key; only when one of them is not such a map are the
-      points listed with their rows, and the lexicographically first point
-      whose image is not a map is the counterexample.
+      onto the order-preserving maps into {1, ..., t + 1}, their images
+      lifted by 1: the set of their images is contained in the maps, and
+      the points are as many as their distinct images and the maps.  The
+      images come from the scan alone, grouped by key; only when one of
+      them is not such a map is ``poly.dilate_integer_points(t)`` listed,
+      and its first matrix whose lifted image is not a map is the
+      counterexample, or the dilate alone if there is none.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail is applied to t_max before any other work; it refuses only
@@ -144,12 +147,11 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     bounds = poly._bound_lists()
     layout = poly._row_layout()
     ones = (1,) * len(P)
-    lifted, cache = [], {}
-    for entries in poly._vertex_rows():
-        rows = _dense(entries, poly.m, poly.n, cache)
-        image = _corner_image(rows, layout)
-        if not _within(bounds, rows) or _from_order_values(image, layout) != rows:
-            return fail("affine_unimodular", {"vertex": Matrix._of_ints(rows).to_json_dict()})
+    lifted = []
+    for V in poly.vertices():
+        image = _corner_image(V.rows, layout)
+        if not _within(bounds, V.rows) or _from_order_values(image, layout) != V.rows:
+            return fail("affine_unimodular", {"vertex": V.to_json_dict()})
         lifted.append(tuple(map(add, image, ones)))
 
     filters = order_maps(1)
@@ -159,15 +161,17 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
                     {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
     # The scan hands over the images alone, grouped by key, and they are
-    # compared as sets; the rows are rebuilt only to name the first point
+    # compared as sets; the points are listed only to name the first one
     # whose image is not an order-preserving map.
     for t in range(1, t_max + 1):
         maps = filters if t == 1 else order_maps(t)
         images = poly._scan_images(t)
         mapped = set(images)
         if not mapped <= maps:
-            rows = next(rows for rows, image in poly._scan_rows(t) if image not in maps)
-            return fail("vertex_bijection", {"dilate": t, "point": Matrix._of_ints(rows).to_json_dict()})
+            bad = next((X for X in poly.dilate_integer_points(t)
+                        if tuple(map(add, _corner_image(X.rows, layout), ones)) not in maps), None)
+            return fail("vertex_bijection",
+                        {"dilate": t} if bad is None else {"dilate": t, "point": bad.to_json_dict()})
         report["dilate_counts"].append([t, len(images), len(maps)])
         if len(mapped) != len(images) or mapped != maps:
             return fail("vertex_bijection", {"dilate": t})

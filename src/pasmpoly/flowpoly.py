@@ -179,7 +179,9 @@ class FlowEdge(NamedTuple):
 
 
 class FlowGraph:
-    """Truncated dual of the planar diagram, oriented west to east."""
+    """Truncated dual of the planar diagram, oriented west to east.  The
+    vertices are 0..num_vertices - 1; an edge endpoint, source or sink
+    outside them is refused with a ValueError that names it."""
 
     __slots__ = ("poset", "num_vertices", "edges", "source", "sink", "_out", "_in")
 
@@ -189,10 +191,16 @@ class FlowGraph:
         self.edges: tuple[FlowEdge, ...] = tuple(edges)
         self.source = source
         self.sink = sink
+        for name, v in (("source", source), ("sink", sink)):
+            if not 0 <= v < num_vertices:
+                raise ValueError(f"{name} {v} is not a vertex 0..{num_vertices - 1}")
         # Edge indices leaving and entering each vertex, in increasing order.
         self._out: list[list[int]] = [[] for _ in range(num_vertices)]
         self._in: list[list[int]] = [[] for _ in range(num_vertices)]
         for k, e in enumerate(self.edges):
+            if not (0 <= e.tail < num_vertices and 0 <= e.head < num_vertices):
+                raise ValueError(f"edge {k} ({e.tail} -> {e.head}) has an endpoint "
+                                 f"that is not a vertex 0..{num_vertices - 1}")
             self._out[e.tail].append(k)
             self._in[e.head].append(k)
 

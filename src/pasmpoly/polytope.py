@@ -23,8 +23,9 @@ Inside the package the vertices are held as sparse int rows, one
 {i * n + j: +-1} dict per profile with at most 2m - 1 nonzeros, walked
 straight from the parts of each partition.  The dimension comes from the
 sparse rank of the first row and the distinct differences of consecutive
-rows, at most |nu/lam| of them; the equivalence certificate runs its round
-trip on the rows; vertices() wraps them in Matrix only for the public API.
+rows, at most |nu/lam| of them.  vertices() builds each distinct dense row
+once and wraps the rows in Matrix; the equivalence certificate runs its
+round trip on those matrices' rows.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -42,7 +43,7 @@ in one list comprehension, so no frame is resumed per point: a point's
 image, its corner sums plus 1 on the skew cells (the order-preserving map
 into {1, ..., t + 1} that it matches), is the slices of its corner-sum
 rows on the cells lifted by 1, and its rows are their finite differences.
-The points come out grouped by key; the rows walk sorts them into
+The points come out grouped by key; dilate_integer_points sorts them into
 row-major lexicographic order at the end.  At t = 1 the points are the
 vertices, so the scan doubles as the census of the inequality description;
 only dilates with t >= 2 pass a guardrail.
@@ -174,9 +175,26 @@ class PasmPolytope:
             yield from walk(1, first, ((first, 1),))
 
     def vertices(self) -> list[Matrix]:
-        """Profile matrices of all partitions between lam and nu."""
+        """Profile matrices of all partitions between lam and nu, from the
+        sparse rows of _vertex_rows.  Each dense row is keyed by its
+        nonzeros, as the flat pairs (i * n + j, entry), and built once: a
+        profile row has at most two nonzeros, so few rows are distinct."""
         m, n, cache = self.m, self.n, {}
-        return [Matrix._of_ints(_dense(v, m, n, cache)) for v in self._vertex_rows()]
+
+        def dense(key: tuple[int, ...]) -> tuple[int, ...]:
+            row = [0] * n
+            for p in range(0, len(key), 2):
+                row[key[p] % n] = key[p + 1]
+            cache[key] = row = tuple(row)
+            return row
+
+        verts = []
+        for entries in self._vertex_rows():
+            keys: list[tuple[int, ...]] = [()] * m
+            for item in entries.items():
+                keys[item[0] // n] += item
+            verts.append(Matrix._of_ints([cache[key] if key in cache else dense(key) for key in keys]))
+        return verts
 
     def _scan(self, t: int, seed, close) -> list:
         """The cell walk of the t-dilate: the payloads of its integer points,
@@ -215,18 +233,6 @@ class PasmPolytope:
             return [image + part for image in images]
 
         return list(chain.from_iterable(self._scan(t, [()], close)))
-
-    def _scan_rows(self, t: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-        """All integer points of the t-dilate in lexicographic (row-major)
-        order, each as (rows, image): a tuple of int row tuples, and its
-        image as in _scan_images.  The cell walk carries each point's path
-        of corner-sum rows; its rows are their finite differences, and the
-        points are sorted once at the end."""
-        cols = [r.cols for r in self._row_layout()]
-        paths = self._scan(t, [()], lambda paths, i, after: [path + (after,) for path in paths])
-        return sorted((_inverse_corner_rows(path),
-                       tuple([c + 1 for row, cut in zip(path, cols) for c in row[cut]]))
-                      for path in chain.from_iterable(paths))
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -280,9 +286,14 @@ class PasmPolytope:
         return DilateCount(t, sum(self._scan(t, 1, lambda count, i, after: count)))
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
-        """The integer matrices of the t-th dilate themselves."""
+        """The integer matrices of the t-th dilate themselves, in
+        lexicographic (row-major) order.  The cell walk carries each point's
+        path of corner-sum rows; its rows are their finite differences, and
+        the points are sorted once at the end."""
         self._check_dilate(t)
-        return [Matrix._of_ints(rows) for rows, _ in self._scan_rows(t)]
+        paths = self._scan(t, [()], lambda paths, i, after: [path + (after,) for path in paths])
+        return [Matrix._of_ints(rows)
+                for rows in sorted(map(_inverse_corner_rows, chain.from_iterable(paths)))]
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"
@@ -307,31 +318,6 @@ def _cell(keys: dict, j: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dic
             after = head + (c,) + tail
             reached[after] = reached[after] + payload if after in reached else payload
     return reached
-
-
-def _dense(entries: dict[int, int], m: int, n: int,
-           cache: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The m x n rows of a sparse row {i * n + j: entry}.
-
-    Each row is keyed by its nonzeros, as the flat pairs (i * n + j, entry),
-    and built once per key in ``cache``, which the caller shares across the
-    vertices: a profile row has at most two nonzeros, so few rows are
-    distinct, and equal rows are one tuple.
-    """
-    keys: list[tuple[int, ...]] = [()] * m
-    for item in entries.items():
-        keys[item[0] // n] += item
-    return tuple([cache[key] if key in cache else _dense_row(key, n, cache) for key in keys])
-
-
-def _dense_row(key: tuple[int, ...], n: int,
-               cache: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
-    """The row of _dense keyed by ``key``, stored in ``cache``."""
-    row = [0] * n
-    for p in range(0, len(key), 2):
-        row[key[p] % n] = key[p + 1]
-    cache[key] = tuple(row)
-    return cache[key]
 
 
 def _within(bound_lists: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:

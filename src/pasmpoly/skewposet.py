@@ -12,7 +12,7 @@ from itertools import accumulate, islice
 from math import lcm
 from typing import Iterator, Mapping, Sequence
 
-from .matrices import Scalar
+from .matrices import Scalar, _exact
 from .shapes import Cell, SkewShape
 
 
@@ -336,7 +336,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(_exact(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -382,8 +382,8 @@ def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     a_j X^j / (D_d Y), one Fraction each.  Both passes take O(n^2) int
     operations.
     """
-    xs = [Fraction(x) for x, _ in values]
-    ys = [Fraction(y) for _, y in values]
+    xs = [Fraction(_exact(x)) for x, _ in values]
+    ys = [Fraction(_exact(y)) for _, y in values]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
     xden = lcm(*[x.denominator for x in xs])  # lists, as in SkewShape.cells

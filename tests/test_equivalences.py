@@ -229,20 +229,25 @@ def _scan_with(monkeypatch, corrupt):
     """Replace the points of the private scan by corrupt(points, t, poly) of
     their rows, taken in the order of the images that the cell walk hands
     the certificate: grouped by key.  The certificate reads the corrupted
-    points' images in that order, and the rows walk lists them sorted, as
-    the real one does; the image of every point is recomputed from its rows."""
-    real_images, real_rows = PasmPolytope._scan_images, PasmPolytope._scan_rows
+    points' images in that order, and dilate_integer_points lists them
+    sorted, as the real one does; the image of every point is recomputed
+    from its rows."""
+    real_images, real_points = PasmPolytope._scan_images, PasmPolytope.dilate_integer_points
 
     def points(self, t):
-        position = {image: k for k, image in enumerate(real_images(self, t))}
-        walked = [rows for rows, image in sorted(real_rows(self, t), key=lambda p: position[p[1]])]
         cells = self.shape.cells()
-        return [(rows, tuple(c + 1 for c in _corner_image(rows, cells)))
-                for rows in corrupt(walked, t, self)]
+
+        def image(rows):
+            return tuple(c + 1 for c in _corner_image(rows, cells))
+
+        position = {lifted: k for k, lifted in enumerate(real_images(self, t))}
+        walked = sorted((X.rows for X in real_points(self, t)), key=lambda rows: position[image(rows)])
+        return [(rows, image(rows)) for rows in corrupt(walked, t, self)]
 
     monkeypatch.setattr(PasmPolytope, "_scan_images",
                         lambda self, t: [image for _, image in points(self, t)])
-    monkeypatch.setattr(PasmPolytope, "_scan_rows", lambda self, t: sorted(points(self, t)))
+    monkeypatch.setattr(PasmPolytope, "dilate_integer_points",
+                        lambda self, t: [Matrix(rows) for rows, _ in sorted(points(self, t))])
 
 
 def test_scan_images_are_the_corner_sums_on_the_cells():
@@ -254,9 +259,12 @@ def test_scan_images_are_the_corner_sums_on_the_cells():
     for shape, t in shapes:
         poly, cells = PasmPolytope(shape), shape.cells()
         layout = poly._row_layout()
-        for rows, image in poly._scan_rows(t):
+        points = [X.rows for X in poly.dilate_integer_points(t)]
+        images = poly._scan_images(t)
+        assert sorted(images) == sorted(tuple(c + 1 for c in _corner_image(rows, cells))
+                                        for rows in points), (shape, t)
+        for rows in points:
             expected = _corner_image(rows, cells)
-            assert image == tuple(c + 1 for c in expected), (shape, t, rows)
             assert equivalences._corner_image(rows, layout) == expected
 
 
@@ -296,12 +304,12 @@ def test_certificate_catches_a_point_repeated_under_another_state(monkeypatch):
 
 
 def test_a_passing_certificate_never_lists_the_rows(monkeypatch):
-    # The rows walk only names a counterexample; a passing certificate
-    # compares the images alone.
+    # The points are listed only to name a counterexample; a passing
+    # certificate compares the images alone.
     def refuse(self, t):
-        raise AssertionError("the rows walk ran")
+        raise AssertionError("the points were listed")
 
-    monkeypatch.setattr(PasmPolytope, "_scan_rows", refuse)
+    monkeypatch.setattr(PasmPolytope, "dilate_integer_points", refuse)
     for shape in all_skew_shapes(4):
         assert certificate_passes(certify_integral_equivalence(PasmPolytope(shape), 3)), shape
     assert certificate_passes(certify_integral_equivalence(example_polytope(), 4))
@@ -343,6 +351,24 @@ def test_certificate_names_the_first_point_off_the_order_maps(monkeypatch):
     assert report["vertex_bijection"] is False
     assert report["dilate_counts"] == []
     assert report["counterexample"] == {"dilate": 1, "point": Matrix(bad).to_json_dict()}
+    assert not certificate_passes(report)
+
+
+def test_an_image_off_the_maps_with_no_such_point_names_the_dilate(monkeypatch):
+    # The scan hands over one image off the maps, but every listed point
+    # is right: no point qualifies, so the dilate alone is the
+    # counterexample.
+    real = PasmPolytope._scan_images
+
+    def one_off(self, t):
+        images = real(self, t)
+        return [(0,) * len(images[0])] + images[1:]
+
+    monkeypatch.setattr(PasmPolytope, "_scan_images", one_off)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert report["counterexample"] == {"dilate": 1}
     assert not certificate_passes(report)
 
 
@@ -458,10 +484,11 @@ def test_certificate_catches_a_wrong_inverse(monkeypatch):
 
 
 def test_certificate_guardrail_comes_before_vertex_work(monkeypatch):
-    def refuse(self):
-        raise AssertionError("vertices enumerated before the guardrail")
+    def refuse(self, *args):
+        raise AssertionError("vertices or dilate points enumerated before the guardrail")
 
     monkeypatch.setattr(PasmPolytope, "vertices", refuse)
+    monkeypatch.setattr(PasmPolytope, "_scan_images", refuse)
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ResourceLimit):
         certify_integral_equivalence(big, 2)

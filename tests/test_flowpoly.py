@@ -21,7 +21,7 @@ from pasmpoly import (
     planar_hasse,
     truncated_dual,
 )
-from pasmpoly.flowpoly import FlowGraph, HasseEdge, PlanarHasse
+from pasmpoly.flowpoly import FlowEdge, FlowGraph, HasseEdge, PlanarHasse
 from pasmpoly.skewposet import SkewPoset
 
 from families import all_skew_shapes
@@ -406,6 +406,18 @@ def test_flow_graph_dot_and_json():
     data = G.to_json()
     assert data["vertices"] == 4
     assert len(data["edges"]) == 7
+
+
+@pytest.mark.parametrize("arc, sink, message", [
+    ((0, 5), 1, r"edge 0 \(0 -> 5\) has an endpoint that is not a vertex 0\.\.1"),
+    ((0, 1), 7, r"sink 7 is not a vertex 0\.\.1"),
+    ((-1, 1), 1, r"edge 0 \(-1 -> 1\) has an endpoint that is not a vertex 0\.\.1"),
+])
+def test_flow_graph_refuses_out_of_range_vertices(arc, sink, message):
+    # Unchecked, a head of 5 is a bare IndexError, a sink of 7 fails only
+    # inside the count, and a tail of -1 indexes vertex 1.
+    with pytest.raises(ValueError, match=message):
+        FlowGraph(single_element_poset(), 2, [FlowEdge(*arc, (BOTTOM, TOP))], 0, sink)
 
 
 def test_flow_graph_rejects_tampering():

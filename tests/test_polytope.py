@@ -22,6 +22,7 @@ from pasmpoly import (
 )
 import pasmpoly.polytope
 from pasmpoly._linalg import rank
+from pasmpoly.equivalences import _corner_image
 from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
 from pasmpoly.skewposet import order_polynomial_values
 
@@ -305,15 +306,17 @@ def _oracle_image(P: Matrix, cells) -> tuple[int, ...]:
 
 @given(boxed_skew_shapes(), st.integers(0, 3), st.data())
 def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
-    # The one cell walk, with each of its payloads: the rows with the
-    # images in order, the images grouped by key, and the counts; the
-    # rows and counts also under a narrowed mid-row or column bound.
+    # The one cell walk, with each of its payloads: the points in order,
+    # with the images the certificate reads off them, the images grouped
+    # by key, and the counts; the points and counts also under a narrowed
+    # mid-row or column bound.
     poly = PasmPolytope(shape)
     oracle = list(_scan_integer_points(poly, t))
-    cells = shape.cells()
+    cells, layout = shape.cells(), poly._row_layout()
     expected = [(P.rows, _oracle_image(P, cells)) for P in oracle]
-    assert poly.dilate_integer_points(t) == oracle
-    assert poly._scan_rows(t) == expected
+    points = poly.dilate_integer_points(t)
+    assert points == oracle
+    assert [(X.rows, tuple(c + 1 for c in _corner_image(X.rows, layout))) for X in points] == expected
     assert sorted(poly._scan_images(t)) == sorted(image for _, image in expected)
     assert poly.dilate_lattice_points(t).count == len(oracle)
 
@@ -327,7 +330,7 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
             assert poly.dilate_lattice_points(t).count == len(kept)
-            assert [rows for rows, _ in poly._scan_rows(t)] == [P.rows for P in kept]
+            assert [X.rows for X in poly.dilate_integer_points(t)] == [P.rows for P in kept]
 
 
 def _narrowable_edges(poly: PasmPolytope) -> list[tuple[Edge, int, int]]:

@@ -505,6 +505,17 @@ def test_order_polynomial_closed_form_on_chain():
     assert poly.leading_coefficient == F(1, factorial(3))
 
 
+def test_polynomials_refuse_floats_and_bools():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+    for bad in (0.1, True):
+        with pytest.raises(TypeError):
+            UniPoly([bad])
+        with pytest.raises(TypeError):
+            interpolate_polynomial([(0, bad), (1, 1)])
+        with pytest.raises(TypeError):
+            interpolate_polynomial([(bad, 0), (2, 1)])
+
+
 def test_unipoly_basics():
     p = UniPoly([F(1), F(0), F(0), F(0)])
     assert p.degree == 0 and p.coeffs == (F(1),)
