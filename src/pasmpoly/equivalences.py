@@ -14,9 +14,9 @@ of a dilate at once, grouped by the scan's keys: each the order-preserving
 map into {1, ..., t + 1} that its point matches, extended once per key at
 the end of each row.  They are compared with the maps as sets, and the
 points are listed, by dilate_integer_points, only to name a
-counterexample.  The vertex round trip reads vertices(), and the shape's
-row layout is read once per certificate, for the vertex images and their
-inverse.
+counterexample.  The vertex round trip reads vertices() and tests their
+int rows against the flat bound lists of PasmPolytope._bounds(); the lists
+and the shape's row layout are read once per certificate.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return set(enumerate_order_preserving_maps(P, t + 1))
 
     # Round trip of every vertex on its int rows: the membership test of
-    # to_order_point on the list-indexed bound table, then the inverse of
-    # its corner-sum image.
-    bounds = poly._bound_lists()
+    # to_order_point on the flat bound lists, then the inverse of its
+    # corner-sum image.
+    bounds = poly._bounds()
     layout = poly._row_layout()
     ones = (1,) * len(P)
     lifted = []

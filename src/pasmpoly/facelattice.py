@@ -3,19 +3,26 @@
 The grid graph of an m x n matrix has vertices (i, j) for i <= m+1,
 j <= n+1.  Edge ("H", i, j) joins (i, j) to (i, j+1) and carries the row-i
 partial sum through column j; edge ("V", i, j) joins (i, j) to (i+1, j) and
-carries the column-j partial sum through row i, as matrices._partial_sums
-computes them.  A labeling assigns each edge a nonempty subset of {0, 1};
-the edges labeled by both values span a planar subgraph whose
-bounded-region count is the dimension of the corresponding face.
+carries the column-j partial sum through row i.  H before V, each row-major,
+is the flat order of matrices._partial_sums and of the polytope's bound
+lists.  A labeling assigns each edge a nonempty subset of {0, 1}; the edges
+labeled by both values span a planar subgraph whose bounded-region count
+is the dimension of the corresponding face.
 """
 
 from __future__ import annotations
 
 from .matrices import Matrix, _partial_sums, is_partial_asm
-from .polytope import Edge, PasmPolytope
+from .polytope import PasmPolytope
 from .shapes import Partition
 
+Edge = tuple[str, int, int]
 Labeling = dict[Edge, frozenset[int]]
+
+
+def _grid_edges(m: int, n: int) -> list[Edge]:
+    """The grid edges of an m x n matrix in the flat order of _partial_sums."""
+    return [(kind, i, j) for kind in "HV" for i in range(1, m + 1) for j in range(1, n + 1)]
 
 
 def edge_endpoints(edge: Edge) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -58,21 +65,22 @@ def union_sum_labeling(mats: list[Matrix]) -> Labeling:
         raise ValueError("mixed dimensions")
     if not all(map(is_partial_asm, mats)):
         raise ValueError("basic sum-labelings are defined for partial ASMs")
-    edges = [(kind, i, j) for kind in "HV" for i in range(1, m + 1) for j in range(1, n + 1)]
     sums = [h + v for h, v in (_partial_sums(M.rows) for M in mats)]
-    return {edge: frozenset(labels) for edge, *labels in zip(edges, *sums)}
+    return {edge: frozenset(labels) for edge, *labels in zip(_grid_edges(m, n), *sums)}
 
 
 def face_labeling(poly: PasmPolytope) -> Labeling:
     """The explicit labeling encoding the polytope as a grid-graph face.
 
     Each edge is labeled by the integers between its bounds in the
-    polytope's inequality description, the table that its membership test
-    and its integer-point scan read.  The common outline edges of lam and nu
-    get {1}; the other edges of the outlines of the partitions between them
-    get {0,1}; every other edge gets {0}.
+    polytope's inequality description, the flat lists that its membership
+    test and its integer-point scan read.  The common outline edges of lam
+    and nu get {1}; the other edges of the outlines of the partitions
+    between them get {0,1}; every other edge gets {0}.
     """
-    return {edge: frozenset(range(lo, hi + 1)) for edge, (lo, hi) in poly._bounds().items()}
+    lo_h, hi_h, lo_v, hi_v = poly._bounds()
+    return {edge: frozenset(range(lo, hi + 1))
+            for edge, lo, hi in zip(_grid_edges(poly.m, poly.n), lo_h + lo_v, hi_h + hi_v)}
 
 
 def region_count(labeling: Labeling) -> int:

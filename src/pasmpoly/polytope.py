@@ -10,10 +10,10 @@ condition holds and 0 otherwise, its inequality description is
 * H(i, j) in [ [nu_i < j <= lam_{i-1}], [lam_i < j <= nu_{i-1}] ];
 * V(i, j) in [ [lam_i = nu_i and j = nu_i + 1], [lam_i < j <= nu_i + 1] ].
 
-These bounds are the face labeling.  PasmPolytope keeps them as one table,
-(lo, hi) per grid edge, which facelattice.face_labeling reads; the
-membership test and the integer-point scan read it as flat lists in the
-index order of the vertex rows.  They fix the line sums
+These bounds are the face labeling.  PasmPolytope states them as four flat
+int lists (lo_H, hi_H, lo_V, hi_V) in the (i - 1) * n + (j - 1) order of
+matrices._partial_sums, which membership, the scan, the certificate and
+facelattice.face_labeling read.  They fix the line sums
 (H(1, n) = V(m, 1) = 1, the other full sums 0) and the zeros in the lam
 region and east of the border strip of nu.  The test suite pins them to
 the paper's form: those fixed zeros, partial sums in [0, 1] and the line
@@ -62,10 +62,6 @@ from .shapes import SkewShape
 DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
 
-# A grid edge: ("H", i, j) carries the row-i partial sum through column j,
-# ("V", i, j) the column-j partial sum through row i.
-Edge = tuple[str, int, int]
-
 
 class ResourceLimit(ValueError):
     """A guardrail refused an instance: the message names the limit and the
@@ -89,11 +85,10 @@ class _RowLayout(NamedTuple):
 class PasmPolytope:
     """H- and V-descriptions of the polytope for one skew shape."""
 
-    __slots__ = ("shape", "_table")
+    __slots__ = ("shape",)
 
     def __init__(self, shape: SkewShape):
         self.shape = shape
-        self._table: dict[Edge, tuple[int, int]] | None = None
 
     @property
     def m(self) -> int:
@@ -103,25 +98,18 @@ class PasmPolytope:
     def n(self) -> int:
         return self.shape.n
 
-    def _bounds(self) -> dict[Edge, tuple[int, int]]:
+    def _bounds(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """The inequality description, in the closed form of the module
-        docstring: (lo, hi) for the partial sum on each grid edge,
-        horizontals first, each in row-major order."""
-        if self._table is None:
-            m, n = self.m, self.n
-            lam = [n] + [self.shape.lam.part(i) for i in range(1, m + 1)]
-            nu = [n] + [self.shape.nu.part(i) for i in range(1, m + 1)]
-            table: dict[Edge, tuple[int, int]] = {}
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    table["H", i, j] = (int(nu[i] < j <= lam[i - 1]),
-                                        int(lam[i] < j <= nu[i - 1]))
-            for i in range(1, m + 1):
-                for j in range(1, n + 1):
-                    table["V", i, j] = (int(lam[i] == nu[i] and j == nu[i] + 1),
-                                        int(lam[i] < j <= nu[i] + 1))
-            self._table = table
-        return self._table
+        docstring: the bounds (lo_H, hi_H, lo_V, hi_V) on H(i, j) and
+        V(i, j), each list indexed by (i - 1) * n + (j - 1)."""
+        m, n = self.m, self.n
+        lam = [n] + [self.shape.lam.part(i) for i in range(1, m + 1)]
+        nu = [n] + [self.shape.nu.part(i) for i in range(1, m + 1)]
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        return ([int(nu[i] < j <= lam[i - 1]) for i, j in cells],
+                [int(lam[i] < j <= nu[i - 1]) for i, j in cells],
+                [int(lam[i] == nu[i] and j == nu[i] + 1) for i, j in cells],
+                [int(lam[i] < j <= nu[i] + 1) for i, j in cells])
 
     def _row_layout(self) -> list[_RowLayout]:
         """The layout of every row's skew cells, read from the parts of the
@@ -133,20 +121,11 @@ class PasmPolytope:
             k += b - a
         return layout
 
-    def _bound_lists(self, t: int = 1) -> tuple[list[int], ...]:
-        """The bound table times t, as the lists (lo_H, hi_H, lo_V, hi_V),
-        each indexed by (i - 1) * n + (j - 1) like the sparse vertex rows.
-        Built from _bounds() on each call."""
-        bounds = self._bounds()
-        edges = [(i, j) for i in range(1, self.m + 1) for j in range(1, self.n + 1)]
-        return tuple([t * bounds[kind, i, j][side] for i, j in edges]
-                     for kind in "HV" for side in (0, 1))
-
     def satisfies_inequalities(self, X: Matrix) -> bool:
         """Exact membership test against the inequality description."""
         if X.m != self.m or X.n != self.n:
             raise ValueError(f"expected a {self.m}x{self.n} matrix, got {X.m}x{X.n}")
-        return _within(self._bound_lists(), X.rows)
+        return _within(self._bounds(), X.rows)
 
     def _vertex_rows(self) -> Iterator[dict[int, int]]:
         """The profile of every partition mu between lam and nu, as a sparse
@@ -213,7 +192,7 @@ class PasmPolytope:
         sums close every row and column.
         """
         n = self.n
-        lo_h, hi_h, lo_v, hi_v = self._bound_lists(t)
+        lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in self._bounds())
         keys = {(0,) * n: seed}
         for i in range(self.m):
             for j, k in enumerate(range(i * n, (i + 1) * n)):
@@ -269,8 +248,11 @@ class PasmPolytope:
         at most (j + 1)(j + 2)/2 keys.  So every cell holds at most
         (n + 1)(n + 2)/2 keys.  Its points are the vertices, which
         vertices(), dim and the certificate's round trip already list with
-        no guard.  At t = 0 the scan yields one point.
+        no guard.  At t = 0 the scan yields one point.  A t that is not an
+        int, a bool among them, raises TypeError.
         """
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise TypeError(f"dilation factor must be an int, got {type(t).__name__}")
         if t < 0:
             raise ValueError("dilation factor must be nonnegative")
         if t > DILATE_T_LIMIT or (t >= 2 and self.shape.size > DILATE_SIZE_LIMIT):
@@ -320,10 +302,10 @@ def _cell(keys: dict, j: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dic
     return reached
 
 
-def _within(bound_lists: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:
+def _within(bounds: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:
     """True iff every row and column partial sum of the grid lies within the
-    bounds of PasmPolytope._bound_lists."""
-    lo_h, hi_h, lo_v, hi_v = bound_lists
+    bounds of PasmPolytope._bounds."""
+    lo_h, hi_h, lo_v, hi_v = bounds
     h, v = _partial_sums(rows)
     return (all(map(le, lo_h, h)) and all(map(le, h, hi_h))
             and all(map(le, lo_v, v)) and all(map(le, v, hi_v)))

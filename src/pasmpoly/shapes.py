@@ -6,16 +6,25 @@ matching matrix indexing.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
 
 
+def _int(x, what: str) -> int:
+    """x read through operator.index: a non-integer or a bool raises TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, got bool")
+    return index(x)
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
-    Trailing zeros are accepted on input and trimmed.  Indexing is 1-based
-    via :meth:`part`, which returns 0 beyond the last positive part.
+    Trailing zeros are accepted on input and trimmed; a part that is not an
+    int raises TypeError.  Indexing is 1-based via :meth:`part`, which
+    returns 0 beyond the last positive part.
     """
 
     __slots__ = ("parts",)
@@ -23,7 +32,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ps = []
         for p in parts:
-            p = int(p)
+            p = _int(p, "partition part")
             if p < 0:
                 raise ValueError(f"negative part {p} in partition")
             ps.append(p)
@@ -129,8 +138,8 @@ def border_strip(nu: Partition, m: int, n: int) -> frozenset[Cell]:
 class SkewShape:
     """A pair of nested partitions lam <= nu inside an m x n ambient box.
 
-    The box must satisfy nu <= (n-1)^(m-1).  When m, n are omitted the
-    minimal box (len(nu)+1 rows, nu_1+1 columns) is used.
+    The box must satisfy nu <= (n-1)^(m-1), with int m and n.  When m, n are
+    omitted the minimal box (len(nu)+1 rows, nu_1+1 columns) is used.
     """
 
     __slots__ = ("nu", "lam", "m", "n")
@@ -138,10 +147,8 @@ class SkewShape:
     def __init__(self, nu: Partition, lam: Partition, m: int | None = None, n: int | None = None):
         if not contains(lam, nu):
             raise ValueError(f"{lam!r} is not contained in {nu!r}")
-        if m is None:
-            m = len(nu) + 1
-        if n is None:
-            n = nu.part(1) + 1
+        m = len(nu) + 1 if m is None else _int(m, "m")
+        n = nu.part(1) + 1 if n is None else _int(n, "n")
         if m < 1 or n < 1:
             raise ValueError("ambient box dimensions must be positive")
         if len(nu) > m - 1 or nu.part(1) > n - 1:

@@ -350,6 +350,7 @@ class UniPoly:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __call__(self, t: Scalar) -> Scalar:
+        t = _exact(t)
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c

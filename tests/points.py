@@ -1,7 +1,8 @@
 """Test points: rational points of a polytope, built in ``Fraction``
 arithmetic from its vertex matrices, the 0/1 points of an order polytope,
-and the partial sums of a matrix, one line at a time, as an oracle for the
-package's flat partial-sum kernel."""
+the partial sums of a matrix, one line at a time, as an oracle for the
+package's flat partial-sum kernel, and a polytope's bound lists with the
+bounds on one grid edge pinned."""
 
 from fractions import Fraction
 
@@ -44,3 +45,13 @@ def column_partial_sums(M: Matrix, j: int) -> list:
         s += M.rows[i][j - 1]
         out.append(s)
     return out
+
+
+def narrowed_bounds(poly, edge, lo: int, hi: int) -> tuple[list[int], ...]:
+    """The bound lists (lo_H, hi_H, lo_V, hi_V) of poly with the partial sum
+    on the grid edge ("H" | "V", i, j) bounded by [lo, hi] instead."""
+    kind, i, j = edge
+    lists = [list(xs) for xs in poly._bounds()]
+    side, k = "HV".index(kind) * 2, (i - 1) * poly.n + (j - 1)
+    lists[side][k], lists[side + 1][k] = lo, hi
+    return tuple(lists)

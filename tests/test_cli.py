@@ -17,6 +17,7 @@ from pasmpoly.cli import main
 
 from families import all_skew_shapes
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
+from points import narrowed_bounds
 from test_linalg import fraction_rank
 from test_matrices import reference_pretty
 
@@ -282,9 +283,9 @@ def test_certify_vertex_outside_h_description_is_a_failure(capsys, monkeypatch):
     # Pinning H(2, 4) to 0 forces the entry (2, 5) = -H(2, 4) to 0, which
     # cuts off a vertex: that is a certificate failure (exit 1), not a
     # usage error.
-    real = PasmPolytope._bounds
-    monkeypatch.setattr(PasmPolytope, "_bounds",
-                        lambda self: {**real(self), ("H", 2, 4): (0, 0)})
+    poly = PasmPolytope(SkewShape(Partition([4, 2, 2]), Partition([3, 1])))
+    narrowed = narrowed_bounds(poly, ("H", 2, 4), 0, 0)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
     code = main(["certify", "--nu", "4,2,2", "--lambda", "3,1"])
     captured = capsys.readouterr()
     assert code == 1

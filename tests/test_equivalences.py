@@ -14,6 +14,7 @@ from pasmpoly import (
     complete_to_asm,
     enumerate_between,
     enumerate_filters,
+    face_labeling,
     from_order_point,
     is_asm,
     to_order_point,
@@ -29,7 +30,13 @@ from golden import (
     PARTIAL_4,
     RATIONAL_POINT_422_31,
 )
-from points import column_partial_sums, convex_combination, filter_indicator, row_partial_sums
+from points import (
+    column_partial_sums,
+    convex_combination,
+    filter_indicator,
+    narrowed_bounds,
+    row_partial_sums,
+)
 
 F = Fraction
 
@@ -418,10 +425,9 @@ def test_certificate_at_t_one_runs_beyond_eight_cells():
 def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
     # On (4,2,2)/(3,1) the entry (2, 5) is -H(2, 4), so pinning H(2, 4) to 0
     # cuts off the vertices with a nonzero entry there.
-    real = PasmPolytope._bounds
-    monkeypatch.setattr(PasmPolytope, "_bounds",
-                        lambda self: {**real(self), ("H", 2, 4): (0, 0)})
     poly = example_polytope()
+    narrowed = narrowed_bounds(poly, ("H", 2, 4), 0, 0)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
     report = certify_integral_equivalence(poly, 2)
     assert report["affine_unimodular"] is False
     assert report["dilate_counts"] == []
@@ -434,29 +440,30 @@ def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
 def test_certificate_fails_when_any_two_valued_bound_is_narrowed(monkeypatch):
     # Every {0, 1} edge of the face labeling takes both values on the
     # vertices, so pinning it to either value cuts off a vertex.
-    real = PasmPolytope._bounds
     poly = example_polytope()
-    two_valued = [edge for edge, (lo, hi) in real(poly).items() if lo < hi]
+    two_valued = [edge for edge, labels in face_labeling(poly).items() if len(labels) > 1]
     assert len(two_valued) == 14
-    for edge in two_valued:
-        for value in (0, 1):
-            narrowed = {**real(poly), edge: (value, value)}
-            monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
-            report = certify_integral_equivalence(poly, 2)
-            assert report["affine_unimodular"] is False, (edge, value)
-            assert not certificate_passes(report)
+    pins = [(edge, value, narrowed_bounds(poly, edge, value, value))
+            for edge in two_valued for value in (0, 1)]
+    for edge, value, narrowed in pins:
+        monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
+        report = certify_integral_equivalence(poly, 2)
+        assert report["affine_unimodular"] is False, (edge, value)
+        assert not certificate_passes(report)
 
 
 def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
     # The vertex round trip runs on int rows: its membership test reads the
-    # list-indexed copy of _bounds(), not satisfies_inequalities.  Pinning
-    # one two-valued partial sum to 1 cuts off a vertex where it is 0.
+    # flat bound lists of _bounds() itself, not satisfies_inequalities.
+    # Pinning one two-valued partial sum to 1 cuts off a vertex where it
+    # is 0.
     def no_matrix_membership(self, X):
         raise AssertionError("the round trip built a Matrix to test membership")
 
-    real = PasmPolytope._bounds
-    edge = next(e for e, (lo, hi) in real(example_polytope()).items() if lo < hi)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: {**real(self), edge: (1, 1)})
+    poly = example_polytope()
+    edge = next(e for e, labels in face_labeling(poly).items() if len(labels) > 1)
+    narrowed = narrowed_bounds(poly, edge, 1, 1)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
     monkeypatch.setattr(PasmPolytope, "satisfies_inequalities", no_matrix_membership)
     report = certify_integral_equivalence(example_polytope(), 1)
     assert report["affine_unimodular"] is False

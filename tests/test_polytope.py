@@ -13,8 +13,10 @@ from pasmpoly import (
     ResourceLimit,
     SkewShape,
     build_poset,
+    certify_integral_equivalence,
     count_linear_extensions,
     enumerate_between,
+    face_labeling,
     interpolate_polynomial,
     is_extreme,
     order_polynomial_value,
@@ -23,12 +25,13 @@ from pasmpoly import (
 import pasmpoly.polytope
 from pasmpoly._linalg import rank
 from pasmpoly.equivalences import _corner_image
-from pasmpoly.polytope import DILATE_SIZE_LIMIT, Edge
+from pasmpoly.facelattice import Edge
+from pasmpoly.polytope import DILATE_SIZE_LIMIT
 from pasmpoly.skewposet import order_polynomial_values
 
 from families import all_skew_shapes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
-from points import column_partial_sums, convex_combination, row_partial_sums
+from points import column_partial_sums, convex_combination, narrowed_bounds, row_partial_sums
 from test_linalg import fraction_convex_combination_exists, fraction_rank
 
 F = Fraction
@@ -320,12 +323,11 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     assert sorted(poly._scan_images(t)) == sorted(image for _, image in expected)
     assert poly.dilate_lattice_points(t).count == len(oracle)
 
-    real = PasmPolytope._bounds
     narrowable = _narrowable_edges(poly)
     if narrowable:
         edge, lo, hi = data.draw(st.sampled_from(narrowable))
         value = data.draw(st.sampled_from((lo, hi)))
-        narrowed = {**real(poly), edge: (value, value)}
+        narrowed = narrowed_bounds(poly, edge, value, value)
         kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
@@ -336,8 +338,8 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
 def _narrowable_edges(poly: PasmPolytope) -> list[tuple[Edge, int, int]]:
     """The two-valued bounds whose pinning can kill a scan key partway:
     the H edges short of the last column, and every V edge."""
-    return [(edge, lo, hi) for edge, (lo, hi) in PasmPolytope._bounds(poly).items()
-            if lo < hi and (edge[0] == "V" or edge[2] < poly.n)]
+    return [(edge, min(labels), max(labels)) for edge, labels in face_labeling(poly).items()
+            if len(labels) > 1 and (edge[0] == "V" or edge[2] < poly.n)]
 
 
 def _partial_sum(P: Matrix, edge: Edge) -> int:
@@ -353,20 +355,41 @@ def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatc
     # the V step from its west neighbour.
     # The scan must still list exactly the oracle's points that obey the
     # pin, in order.
-    real = PasmPolytope._bounds
     poly = example_polytope()
     narrowable = _narrowable_edges(poly)
     assert {edge[0] for edge, _, _ in narrowable} == {"H", "V"}
+    pins = [(edge, value, narrowed_bounds(poly, edge, value, value))
+            for edge, lo, hi in narrowable for value in (lo, hi)]
     for t in (1, 2, 3):
         oracle = list(_scan_integer_points(poly, t))
-        for edge, lo, hi in narrowable:
-            for value in (lo, hi):
-                narrowed = {**real(poly), edge: (value, value)}
-                monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
-                kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
-                assert 0 < len(kept) < len(oracle)
-                assert poly.dilate_integer_points(t) == kept, (edge, value, t)
-                assert poly.dilate_lattice_points(t).count == len(kept), (edge, value, t)
+        for edge, value, narrowed in pins:
+            monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
+            kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
+            assert 0 < len(kept) < len(oracle)
+            assert poly.dilate_integer_points(t) == kept, (edge, value, t)
+            assert poly.dilate_lattice_points(t).count == len(kept), (edge, value, t)
+
+
+def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists(monkeypatch):
+    # The face labeling, the membership test, the scan and the certificate
+    # read the one bound table: pinning the two-valued H(2, 4) of
+    # (4,2,2)/(3,1) to 0 narrows all four alike.
+    poly = example_polytope()
+    edge = ("H", 2, 4)
+    labeling, verts = face_labeling(poly), poly.vertices()
+    assert labeling[edge] == frozenset({0, 1})
+    kept = [V for V in verts if _partial_sum(V, edge) == 0]
+    assert 0 < len(kept) < len(verts)
+    narrowed = narrowed_bounds(poly, edge, 0, 0)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
+    assert face_labeling(poly) == {**labeling, edge: frozenset({0})}
+    assert [V for V in verts if poly.satisfies_inequalities(V)] == kept
+    assert sorted(X.rows for X in poly.dilate_integer_points(1)) == sorted(V.rows for V in kept)
+    assert poly.dilate_lattice_points(1).count == len(kept)
+    report = certify_integral_equivalence(poly, 1)
+    assert report["affine_unimodular"] is False
+    V = Matrix.from_json_dict(report["counterexample"]["vertex"])
+    assert V in verts and V not in kept
 
 
 @given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
@@ -615,6 +638,13 @@ def test_dilate_guardrails():
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ValueError):
         big.dilate_lattice_points(2)
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(TypeError, match="dilation factor must be an int"):
+            poly.dilate_lattice_points(bad)
+        with pytest.raises(TypeError, match="dilation factor must be an int"):
+            poly.dilate_integer_points(bad)
+        with pytest.raises(TypeError, match="dilation factor must be an int"):
+            certify_integral_equivalence(poly, bad)
 
 
 def test_ehrhart_interpolation_leading_coefficient():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +37,16 @@ def test_partition_rejects_bad_input():
         Partition([2, 0, 1])
     with pytest.raises(ValueError, match="interior zero"):
         Partition([1, 0, 1])
+    # Parts are read through operator.index, not truncated by int().
+    for bad in ([2.5, 1.9], [Fraction(7, 2)], [Fraction(3)], ["3"], [True], [2, False]):
+        with pytest.raises(TypeError):
+            Partition(bad)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert Partition([Three(), 1]) == Partition([3, 1])
 
 
 def test_partition_conjugate():
@@ -147,6 +159,9 @@ def test_skew_shape_validation():
         SkewShape(Partition([1, 1]), Partition(), m=2, n=2)  # too many rows
     with pytest.raises(ValueError, match="ambient box dimensions must be positive"):
         SkewShape(Partition(), Partition(), 0, 1)
+    for box in ({"n": 3.5}, {"m": 3.0}, {"m": True}, {"n": "3"}):
+        with pytest.raises(TypeError):
+            SkewShape(Partition([1]), Partition(), **box)
 
 
 def test_minimal_box_defaults():

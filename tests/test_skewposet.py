@@ -514,6 +514,8 @@ def test_polynomials_refuse_floats_and_bools():
             interpolate_polynomial([(0, bad), (1, 1)])
         with pytest.raises(TypeError):
             interpolate_polynomial([(bad, 0), (2, 1)])
+        with pytest.raises(TypeError):
+            UniPoly([1, 2])(bad)
 
 
 def test_unipoly_basics():
