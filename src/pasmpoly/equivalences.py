@@ -114,12 +114,12 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       counterexample, or the dilate alone if there is none.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
-    guardrail is applied to t_max before any other work; it refuses only
-    t_max >= 2, so t_max = 1 runs on every shape.
+    guardrail, which also checks its type, runs before any other work; it
+    refuses only t_max >= 2, so t_max = 1 runs on every shape.
     """
+    poly._check_dilate(t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    poly._check_dilate(t_max)
     P = build_poset(poly.shape)
     report: dict = {
         "spec": poly.shape.to_json(),

@@ -17,13 +17,11 @@ Scalar = int | Fraction
 
 
 def _exact(x) -> Scalar:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a matrix entry")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise TypeError(f"exact values must be int or Fraction, got {type(x).__name__}")
 
 
 class Matrix:

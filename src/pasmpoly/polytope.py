@@ -19,13 +19,13 @@ region and east of the border strip of nu.  The test suite pins them to
 the paper's form: those fixed zeros, partial sums in [0, 1] and the line
 sums.
 
-Inside the package the vertices are held as sparse int rows, one
-{i * n + j: +-1} dict per profile with at most 2m - 1 nonzeros, walked
-straight from the parts of each partition.  The dimension comes from the
-sparse rank of the first row and the distinct differences of consecutive
-rows, at most |nu/lam| of them.  vertices() builds each distinct dense row
-once and wraps the rows in Matrix; the equivalence certificate runs its
-round trip on those matrices' rows.
+The vertices come from shapes._between, the walk of [lam, nu] behind
+enumerate_between: a step raises one part mu_k and resets the later parts
+to lam, so only the profile rows from k on change.  vertices() builds each
+distinct dense row once, keyed by its two parts; the certificate's round
+trip reads those rows.  The dimension is the sparse rank of the first
+vertex and the distinct differences of consecutive vertices, taken on the
+changed rows alone: at most |nu/lam| of them.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -53,11 +53,11 @@ from __future__ import annotations
 
 from itertools import chain, pairwise
 from operator import le
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._linalg import convex_combination_exists, rank
 from .matrices import Matrix, Scalar, _inverse_corner_rows, _partial_sums
-from .shapes import SkewShape
+from .shapes import SkewShape, _between
 
 DILATE_SIZE_LIMIT = 8
 DILATE_T_LIMIT = 4
@@ -127,52 +127,28 @@ class PasmPolytope:
             raise ValueError(f"expected a {self.m}x{self.n} matrix, got {X.m}x{X.n}")
         return _within(self._bounds(), X.rows)
 
-    def _vertex_rows(self) -> Iterator[dict[int, int]]:
-        """The profile of every partition mu between lam and nu, as a sparse
-        row {i * n + j: entry} over the 0-based cells (i, j), in the
+    def vertices(self) -> list[Matrix]:
+        """Profile matrices of all partitions mu between lam and nu, in the
         lexicographic order of shapes.enumerate_between.
 
-        mu is walked as parts mu_1..mu_m (mu_m = 0): row 0 holds 1 at
-        mu_1, and row k >= 1 holds 1 at mu_{k+1} and -1 at mu_k when
-        mu_k > mu_{k+1}, so the row is complete once mu_m is placed.
+        With mu_0 = n, row i (0-based) holds 1 at mu_{i+1} and -1 at mu_i
+        when mu_i > mu_{i+1}, and is empty otherwise; row 0's -1 falls
+        outside the row.  Each dense row is built once for its pair
+        (mu_i, mu_{i+1}), and a step of the walk that raises part k looks
+        up only the rows from k on.
         """
-        m, n = self.m, self.n
-        lam = [self.shape.lam.part(k) for k in range(1, m + 1)]
-        nu = [self.shape.nu.part(k) for k in range(1, m + 1)]
-
-        def walk(k: int, prev: int, entries: tuple) -> Iterator[dict[int, int]]:
-            # prev is mu_k; entries holds the nonzeros of rows < k.
-            if k == m:
-                yield dict(entries)
-                return
-            base = k * n
-            for part in range(lam[k], min(nu[k], prev) + 1):
-                step = ((base + part, 1), (base + prev, -1)) if part < prev else ()
-                yield from walk(k + 1, part, entries + step)
-
-        for first in range(lam[0], nu[0] + 1):
-            yield from walk(1, first, ((first, 1),))
-
-    def vertices(self) -> list[Matrix]:
-        """Profile matrices of all partitions between lam and nu, from the
-        sparse rows of _vertex_rows.  Each dense row is keyed by its
-        nonzeros, as the flat pairs (i * n + j, entry), and built once: a
-        profile row has at most two nonzeros, so few rows are distinct."""
         m, n, cache = self.m, self.n, {}
 
-        def dense(key: tuple[int, ...]) -> tuple[int, ...]:
-            row = [0] * n
-            for p in range(0, len(key), 2):
-                row[key[p] % n] = key[p + 1]
-            cache[key] = row = tuple(row)
+        def dense(a: int, b: int) -> tuple[int, ...]:
+            cache[a, b] = row = tuple([(j == b) - (j == a) for j in range(n)])
             return row
 
-        verts = []
-        for entries in self._vertex_rows():
-            keys: list[tuple[int, ...]] = [()] * m
-            for item in entries.items():
-                keys[item[0] // n] += item
-            verts.append(Matrix._of_ints([cache[key] if key in cache else dense(key) for key in keys]))
+        verts, rows = [], []
+        for k, mu in _between(self.shape.lam, self.shape.nu, m):
+            del rows[k:]
+            for pair in zip(chain((mu[k - 1] if k else n,), mu[k:]), mu[k:]):
+                rows.append(cache[pair] if pair in cache else dense(*pair))
+            verts.append(Matrix._of_ints(rows))
         return verts
 
     def _scan(self, t: int, seed, close) -> list:
@@ -218,23 +194,34 @@ class PasmPolytope:
 
         The entries of every vertex sum to 1, so the affine hull misses the
         origin and the linear span of the vertices is one dimension larger:
-        the dimension is the rank of the sparse vertex rows, minus 1.
+        the dimension is the rank of the vertices, minus 1.
 
-        The rank gets the first vertex row v_1 and the distinct differences
-        v_{k+1} - v_k of consecutive rows in walk order.  They span what the
-        rows span (a unitriangular change of generators, and a repeated row
-        adds nothing), and every vertex is still read.  From one partition
-        to the next in the walk, one part goes up by 1 and the later parts
-        drop back to lam, so a difference depends only on that part and its
-        old value: at most |nu/lam| of them are distinct.
+        The rank gets the first vertex and the distinct differences of
+        consecutive vertices in walk order, as sparse rows {i * n + j:
+        entry}; they span what the vertices span.  A step that raises part
+        k and resets the later parts to lam changes only the rows from k
+        on, where its difference is taken; it depends only on that part and
+        its old value, so at most |nu/lam| differences are distinct.
         """
-        rows = self._vertex_rows()
-        first = next(rows)
+        m, n = self.m, self.n
+
+        def tail(mu: tuple[int, ...], k: int) -> dict[int, int]:
+            # The nonzeros of rows k.. of the profile of mu.
+            entries = {} if k else {mu[0]: 1}
+            for i in range(k or 1, m):
+                if mu[i - 1] > mu[i]:
+                    entries[i * n + mu[i]], entries[i * n + mu[i - 1]] = 1, -1
+            return entries
+
+        walk = _between(self.shape.lam, self.shape.nu, m)
+        first = next(walk)
         # A position where two rows differ is in the symmetric difference
         # of their items, once or, where the entry flips sign, twice.
-        steps = {frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()])
-                 for a, b in pairwise(chain([first], rows))}
-        return rank([first, *map(dict, steps)]) - 1
+        steps = set()
+        for (_, old), (k, mu) in pairwise(chain([first], walk)):
+            a, b = tail(old, k), tail(mu, k)
+            steps.add(frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()]))
+        return rank([tail(first[1], 0), *map(dict, steps)]) - 1
 
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.

@@ -99,24 +99,37 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return all(inner.parts[k] <= outer.parts[k] for k in range(len(inner)))
 
 
+def _between(lam: Partition, nu: Partition, length: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(k, mu) for the parts mu_1..mu_length of every partition lam <= mu <=
+    nu, in lexicographic order, k the first 0-based index that changed.
+
+    An odometer: the last part below both its bound nu_k and the part above
+    goes up by 1, and every later part drops back to lam.
+    """
+    lo = [lam.part(k) for k in range(1, length + 1)]
+    hi = [nu.part(k) for k in range(1, length + 1)]
+    mu, k = lo[:], 0
+    while True:
+        yield k, tuple(mu)
+        k = length - 1
+        while k >= 0 and (mu[k] == hi[k] or k and mu[k] == mu[k - 1]):
+            k -= 1
+        if k < 0:
+            return
+        mu[k] += 1
+        mu[k + 1:] = lo[k + 1:]
+
+
 def enumerate_between(lam: Partition, nu: Partition) -> list[Partition]:
     """All partitions mu with lam <= mu <= nu, in lexicographic order.
 
     The count equals the number of order filters of the skew poset on
-    nu/lam cells.  The partitions are walked by their parts from the first
-    row down, one list comprehension per row over the part tuples so far:
-    row k's part runs from lam_k to the smaller of nu_k and the part above,
-    a part 0 ending the partition.  Each row keeps the order of the rows
-    above and lists its parts in increasing order, and a partition that
-    ends sorts before those that go on, so the walk is lexicographic.
+    nu/lam cells.  The partitions are read off the odometer _between over
+    the len(nu) parts of nu, a part 0 ending the partition.
     """
     if not contains(lam, nu):
         raise ValueError(f"{lam!r} is not contained in {nu!r}")
-    mus = [(p,) for p in range(lam.part(1), nu.part(1) + 1)]
-    for k in range(2, len(nu) + 1):
-        lo, hi = lam.part(k), nu.part(k)
-        mus = [mu + (p,) for mu in mus for p in range(lo, min(hi, mu[-1]) + 1)]
-    return [Partition(mu) for mu in mus]
+    return [Partition(mu) for _, mu in _between(lam, nu, len(nu))]
 
 
 def border_strip(nu: Partition, m: int, n: int) -> frozenset[Cell]:

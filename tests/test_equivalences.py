@@ -324,10 +324,10 @@ def test_a_passing_certificate_never_lists_the_rows(monkeypatch):
 
 def test_certificate_catches_a_dropped_or_repeated_vertex(monkeypatch):
     # The vertex images must be the filter indicators, each exactly once.
-    real = PasmPolytope._vertex_rows
-    for corrupt in (lambda rows: rows[1:], lambda rows: rows + rows[:1]):
-        monkeypatch.setattr(PasmPolytope, "_vertex_rows",
-                            lambda self, corrupt=corrupt: iter(corrupt(list(real(self)))))
+    real = PasmPolytope.vertices
+    for corrupt in (lambda verts: verts[1:], lambda verts: verts + verts[:1]):
+        monkeypatch.setattr(PasmPolytope, "vertices",
+                            lambda self, corrupt=corrupt: corrupt(real(self)))
         report = certify_integral_equivalence(example_polytope(), 1)
         assert report["affine_unimodular"] is True
         assert report["vertex_bijection"] is False

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise, product
 from typing import Iterator
 
 import pytest
@@ -392,6 +392,25 @@ def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists(monkeypatch):
     assert V in verts and V not in kept
 
 
+def _brute_interval(lam: Partition, nu: Partition) -> list[Partition]:
+    """The partitions between lam and nu, as the weakly decreasing tuples of
+    the product of the part ranges [lam_k, nu_k], in the product's
+    lexicographic order."""
+    ranges = [range(lam.part(k), nu.part(k) + 1) for k in range(1, len(nu) + 1)]
+    return [Partition(mu) for mu in product(*ranges) if all(a >= b for a, b in pairwise(mu))]
+
+
+def test_the_interval_walk_matches_the_brute_force_interval():
+    # enumerate_between and vertices() read one walk of [lam, nu]; the
+    # product of the part ranges checks both, order included.
+    for shape in all_skew_shapes(7):
+        brute = _brute_interval(shape.lam, shape.nu)
+        assert enumerate_between(shape.lam, shape.nu) == brute, shape
+        for boxed in _in_three_boxes(shape):
+            oracle = [vertex_matrix(mu, boxed.m, boxed.n) for mu in brute]
+            assert PasmPolytope(boxed).vertices() == oracle, boxed
+
+
 @given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
 def test_sparse_vertex_rows_match_the_profile_oracle(shape):
     # The boxes are minimal or larger: nu may have fewer than m - 1 parts,
@@ -516,7 +535,7 @@ def test_dimension_ranks_the_first_row_and_the_distinct_steps(monkeypatch):
         calls.clear()
         dim = poly.dimension()
         assert len(calls) == 1 and calls[0] <= shape.size + 1, shape
-        assert dim == rank(list(poly._vertex_rows())) - 1, shape
+        assert dim == rank([V.flatten() for V in poly.vertices()]) - 1, shape
 
 
 def test_is_extreme():
@@ -638,7 +657,7 @@ def test_dilate_guardrails():
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ValueError):
         big.dilate_lattice_points(2)
-    for bad in (True, 1.0, Fraction(1)):
+    for bad in (True, 1.0, Fraction(1), 0.5, "2"):
         with pytest.raises(TypeError, match="dilation factor must be an int"):
             poly.dilate_lattice_points(bad)
         with pytest.raises(TypeError, match="dilation factor must be an int"):

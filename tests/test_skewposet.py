@@ -508,13 +508,14 @@ def test_order_polynomial_closed_form_on_chain():
 def test_polynomials_refuse_floats_and_bools():
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
     for bad in (0.1, True):
-        with pytest.raises(TypeError):
+        refused = f"exact values must be int or Fraction, got {type(bad).__name__}"
+        with pytest.raises(TypeError, match=refused):
             UniPoly([bad])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=refused):
             interpolate_polynomial([(0, bad), (1, 1)])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=refused):
             interpolate_polynomial([(bad, 0), (2, 1)])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=refused):
             UniPoly([1, 2])(bad)
 
 
