@@ -8,27 +8,29 @@ pinned to 0 on the lam region and to 1 everywhere east of the shape, which
 is what makes the map invertible.  The certificate checks the equivalence
 by the round trip through these two maps on every vertex, and by exact
 bijections of the vertices and of the integer points of small dilates onto
-order-preserving maps, compared as value tuples over the skew cells; it
-uses no randomness.  The dilate scan hands it the images of all the points
-of a dilate at once, grouped by the scan's keys: each the order-preserving
-map into {1, ..., t + 1} that its point matches, extended once per key at
-the end of each row.  They are compared with the maps as sets, and the
-points are listed, by dilate_integer_points, only to name a
-counterexample.  The vertex round trip reads vertices() and tests their
-int rows against the flat bound lists of PasmPolytope._bounds(); the lists
-and the shape's row layout are read once per certificate.
+order-preserving maps; it uses no randomness.  Both loops work per row.
+The vertex round trip takes one grid row at a time, under the column sums
+of the rows above it: the row's bounds, its corner-sum row and the inverse
+under the completed corner-sum row above.  Vertices share their row steps,
+so each distinct step is checked once.  A dilate is checked by a census of
+the scan's cell walk: at the end of each row, each key's slice on the cells
+is checked once against the range and the covers of the cell poset, for all
+the points through it, and the points are counted, not listed; they are
+listed, by dilate_integer_points, only to name a counterexample.  The
+vertex round trip reads the bound lists and the shape's row layout once per
+certificate.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from operator import add, getitem
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_rows
-from .polytope import PasmPolytope, _RowLayout, _within
+from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_row, _inverse_corner_rows
+from .polytope import PasmPolytope, _row_bounds, _row_within, _RowLayout
 from .shapes import Cell
-from .skewposet import build_poset, enumerate_order_preserving_maps, in_order_polytope
+from .skewposet import SkewPoset, build_poset, enumerate_order_preserving_maps, in_order_polytope
 
 PosetPoint = dict[Cell, Scalar]
 
@@ -86,32 +88,84 @@ def complete_to_asm(M: Matrix) -> Matrix:
     return Matrix(rows)
 
 
+def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
+    """(count, valid, distinct) for the integer points of the t-th dilate,
+    from one cell walk of the scan, with no point listed.
+
+    The covers a < b of the cell poset P are filed under the row of b, as
+    offsets into slices of corner-sum rows on the cells: the east covers,
+    both ends in that row's slice, and the south covers, from the slice of
+    the row above; the cells of a skew shape are convex, so there are no
+    others.  A key's payload lists each origin, the key at the end of the
+    row above that its prefixes passed, as (that key's slice, count).  At
+    the end of each row, ``close`` takes the key's own slice s and checks
+    that it lies in [0, t], that it is weakly increasing along the east
+    covers, and that no other key of the row has the same slice; for each
+    origin it checks the south covers from the origin's slice into s and
+    adds the origin's count.
+
+    count is the number of points.  valid says that no key broke the range
+    or a cover, so that every point's corner sums on the cells, plus 1, are
+    an order-preserving map into {1, ..., t + 1}.  distinct says that at
+    every row end the slice determines the key, so that those maps are
+    distinct.
+    """
+    layout = poly._row_layout()
+    row = [i for i, r in enumerate(layout) for _ in range(r.vals.start, r.vals.stop)]
+    east: list[list[tuple[int, int]]] = [[] for _ in layout]
+    south: list[list[tuple[int, int]]] = [[] for _ in layout]
+    for a, b in P.covers:
+        i = row[b]
+        (east if row[a] == i else south)[i].append((a - layout[row[a]].vals.start, b - layout[i].vals.start))
+    cols = [r.cols for r in layout]
+    seen: list[set] = [set() for _ in cols]
+    valid = distinct = True
+
+    def close(origins, i, after):
+        nonlocal valid, distinct
+        s = after[cols[i]]
+        if s in seen[i]:
+            distinct = False
+        seen[i].add(s)
+        if valid and not (all([0 <= c <= t for c in s]) and all([s[p] <= s[q] for p, q in east[i]])
+                          and all([o[p] <= s[q] for o, _ in origins for p, q in south[i]])):
+            valid = False
+        return [(s, sum([count for _, count in origins]))]
+
+    ends = poly._scan(t, [((), 1)], close)
+    return sum(count for payload in ends for _, count in payload), valid, distinct
+
+
 def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     """Computational certificate that the polytope and the order polytope of
     its cell poset are integrally equivalent.
 
     Every comparison is of value tuples over the skew cells in row-major
     order: corner sums of points against order-preserving maps of the cell
-    poset, each set of maps enumerated once.  Checks, all exact:
+    poset, enumerated once for each t.  Checks, all exact:
 
     * every vertex V of ``poly.vertices()`` survives the round trip
       ``from_order_point(to_order_point(V)) == V``: V is within the
       inequality description, and its image goes back to V through the
-      inverse kernel of :func:`from_order_point`.  Both maps are affine and
-      the vertices span the affine hull, so the corner-sum map is injective
-      on the hull with an integral affine inverse;
+      inverse kernel of :func:`from_order_point`.  Both are checked one row
+      step at a time, memoised on (row index, column sums above, row): the
+      row's bounds, its corner-sum row, and the inverse of its completed
+      corner-sum row under the completed one above, which must give back
+      the row.  Both maps are affine and the vertices span the affine hull,
+      so the corner-sum map is injective on the hull with an integral
+      affine inverse;
     * the vertex images, lifted by 1, are distinct and are exactly the
       order-preserving maps into {1, 2}, the filter indicators plus 1.  This
       puts every image in the order polytope, so an image outside it fails
       here, not the round trip;
     * for each t <= t_max, the integer points of the t-th dilate biject
       onto the order-preserving maps into {1, ..., t + 1}, their images
-      lifted by 1: the set of their images is contained in the maps, and
-      the points are as many as their distinct images and the maps.  The
-      images come from the scan alone, grouped by key; only when one of
-      them is not such a map is ``poly.dilate_integer_points(t)`` listed,
-      and its first matrix whose lifted image is not a map is the
-      counterexample, or the dilate alone if there is none.
+      lifted by 1.  The census of :func:`_census` proves that the images
+      are such maps and that the points inject into them, so the points
+      biject onto the maps iff they are as many.  Only when an image is
+      not such a map is ``poly.dilate_integer_points(t)`` listed, and its
+      first matrix whose lifted image is not a map is the counterexample,
+      or the dilate alone if there is none.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail, which also checks its type, runs before any other work; it
@@ -134,46 +188,69 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         report["counterexample"] = detail
         return report
 
-    def order_maps(t: int) -> set[tuple[int, ...]]:
+    def order_maps(t: int) -> Iterator[tuple[int, ...]]:
         """The order-preserving maps of P into {1, ..., t + 1}: each is one
         more than the corner sums of the point of the t-th dilate it
-        matches, as the scan yields it, so the vertex images are lifted by 1
-        too."""
-        return set(enumerate_order_preserving_maps(P, t + 1))
+        matches, so the vertex images are lifted by 1 too."""
+        return enumerate_order_preserving_maps(P, t + 1)
 
-    # Round trip of every vertex on its int rows: the membership test of
-    # to_order_point on the flat bound lists, then the inverse of its
-    # corner-sum image.
-    bounds = poly._bounds()
-    layout = poly._row_layout()
-    ones = (1,) * len(P)
+    # Round trip of every vertex, one row step at a time.  A step depends
+    # only on its row index, the column sums above it and the row: the
+    # completed corner-sum row above is a function of those sums.  It gives
+    # the column sums through the row, its completed corner-sum row and its
+    # lifted slice; a failed step is ().
+    n, layout = poly.n, poly._row_layout()
+    bounds = _row_bounds(poly._bounds(), n)
+    steps: dict = {}
+
+    def step(i: int, above: tuple[int, ...], completed: tuple[int, ...], row: tuple[int, ...]) -> tuple:
+        sums = _row_within(bounds[i], above, row)
+        if sums is None:
+            return ()
+        r = layout[i]
+        cells = tuple(accumulate(sums))[r.cols]
+        corner = r.zeros + cells + r.ones
+        if _inverse_corner_row(corner, completed) != row:
+            return ()
+        return sums, corner, tuple([c + 1 for c in cells])
+
+    zeros = (0,) * n
     lifted = []
     for V in poly.vertices():
-        image = _corner_image(V.rows, layout)
-        if not _within(bounds, V.rows) or _from_order_values(image, layout) != V.rows:
-            return fail("affine_unimodular", {"vertex": V.to_json_dict()})
-        lifted.append(tuple(map(add, image, ones)))
+        above = completed = zeros
+        image: tuple[int, ...] = ()
+        for i, row in enumerate(V.rows):
+            key = (i, above, row)
+            done = steps.get(key)
+            if done is None:
+                done = steps[key] = step(i, above, completed, row)
+            if not done:
+                return fail("affine_unimodular", {"vertex": V.to_json_dict()})
+            above, completed, cells = done
+            image += cells
+        lifted.append(image)
 
-    filters = order_maps(1)
+    filters = set(order_maps(1))
     distinct = set(lifted)
     if len(distinct) != len(lifted) or distinct != filters:
         return fail("vertex_bijection",
                     {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
-    # The scan hands over the images alone, grouped by key, and they are
-    # compared as sets; the points are listed only to name the first one
-    # whose image is not an order-preserving map.
+    # The census counts the points and checks their images per row; the
+    # maps are counted, and listed as a set only at t = 1 and to name the
+    # first point whose image is not a map.
+    ones = (1,) * len(P)
     for t in range(1, t_max + 1):
-        maps = filters if t == 1 else order_maps(t)
-        images = poly._scan_images(t)
-        mapped = set(images)
-        if not mapped <= maps:
+        count, valid, injective = _census(poly, P, t)
+        if not valid:
+            maps = filters if t == 1 else set(order_maps(t))
             bad = next((X for X in poly.dilate_integer_points(t)
                         if tuple(map(add, _corner_image(X.rows, layout), ones)) not in maps), None)
             return fail("vertex_bijection",
                         {"dilate": t} if bad is None else {"dilate": t, "point": bad.to_json_dict()})
-        report["dilate_counts"].append([t, len(images), len(maps)])
-        if len(mapped) != len(images) or mapped != maps:
+        total = len(filters) if t == 1 else sum(1 for _ in order_maps(t))
+        report["dilate_counts"].append([t, count, total])
+        if not injective or count != total:
             return fail("vertex_bijection", {"dilate": t})
 
     return report

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .matrices import Scalar
-from .shapes import Cell
+from .shapes import Cell, _int
 from .skewposet import SkewPoset, in_order_polytope
 
 BOTTOM = "bottom"
@@ -341,8 +341,10 @@ def count_integer_flows(G: FlowGraph, t: int) -> int:
     the source.  At each vertex other than the sink, each out-edge but the
     last carries any amount 0..s of the tail's remaining supply s to its
     head, and the last carries what is left.  The flows of size t are the
-    partial flows that end with all t at the sink.
+    partial flows that end with all t at the sink.  A t that is not an int,
+    a bool among them, raises TypeError.
     """
+    t = _int(t, "flow size")
     if t < 0:
         raise ValueError("flow size must be nonnegative")
     start = [0] * G.num_vertices

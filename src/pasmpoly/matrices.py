@@ -180,16 +180,18 @@ def corner_sums(M: Matrix) -> Matrix:
     return Matrix(_corner_rows(M.rows))
 
 
-def _inverse_corner_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
-    """Finite-difference inverse of :func:`_corner_rows`: the difference with
+def _inverse_corner_row(row: Sequence[Scalar], above: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """One step of :func:`_inverse_corner_rows`: the grid row whose corner-sum
+    row is ``row`` under the corner-sum row ``above``, the difference with
     the row above, then with the column to the west."""
-    out = []
-    above = (0,) * len(rows[0])
-    for row in rows:
-        down = list(map(sub, row, above))
-        out.append(tuple(map(sub, down, [0, *down[:-1]])))
-        above = row
-    return tuple(out)
+    down = list(map(sub, row, above))
+    return tuple(map(sub, down, [0, *down[:-1]]))
+
+
+def _inverse_corner_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Scalar, ...], ...]:
+    """Finite-difference inverse of :func:`_corner_rows`, one row at a time
+    under the corner-sum row above it, or under zeros for the first."""
+    return tuple(map(_inverse_corner_row, rows, [(0,) * len(rows[0]), *rows[:-1]]))
 
 
 def inverse_corner_sums(C: Matrix) -> Matrix:

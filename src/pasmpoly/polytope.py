@@ -13,19 +13,22 @@ condition holds and 0 otherwise, its inequality description is
 These bounds are the face labeling.  PasmPolytope states them as four flat
 int lists (lo_H, hi_H, lo_V, hi_V) in the (i - 1) * n + (j - 1) order of
 matrices._partial_sums, which membership, the scan, the certificate and
-facelattice.face_labeling read.  They fix the line sums
-(H(1, n) = V(m, 1) = 1, the other full sums 0) and the zeros in the lam
-region and east of the border strip of nu.  The test suite pins them to
-the paper's form: those fixed zeros, partial sums in [0, 1] and the line
-sums.
+facelattice.face_labeling read.  Membership reads them one grid row at a
+time, given the column sums through the rows above (_row_within), which is
+also the step of the certificate's vertex round trip.  They fix the line
+sums (H(1, n) = V(m, 1) = 1, the other full sums 0) and the zeros in the
+lam region and east of the border strip of nu.  The test suite pins them
+to the paper's form: those fixed zeros, partial sums in [0, 1] and the
+line sums.
 
 The vertices come from shapes._between, the walk of [lam, nu] behind
 enumerate_between: a step raises one part mu_k and resets the later parts
 to lam, so only the profile rows from k on change.  vertices() builds each
 distinct dense row once, keyed by its two parts; the certificate's round
-trip reads those rows.  The dimension is the sparse rank of the first
-vertex and the distinct differences of consecutive vertices, taken on the
-changed rows alone: at most |nu/lam| of them.
+trip reads those rows and checks each distinct row step once.  The
+dimension is the sparse rank of the first vertex and the distinct
+differences of consecutive vertices, taken on the changed rows alone: at
+most |nu/lam| of them.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -36,27 +39,27 @@ the west neighbour.  So the key after cell (i, j) is C(i, 1..j) followed by
 C(i - 1, j + 1..n): the new row through column j, then the old row, and
 each entry is drawn from its H interval over the old entry it replaces and
 its V step from the new entry before it.  The walk keeps, for each key, one
-payload for all the point prefixes that reach it: their images, their
-paths of corner-sum rows, or their number; keys that meet add up their
-payloads.  At the end of each row a hook extends each key's payload once,
-in one list comprehension, so no frame is resumed per point: a point's
-image, its corner sums plus 1 on the skew cells (the order-preserving map
-into {1, ..., t + 1} that it matches), is the slices of its corner-sum
-rows on the cells lifted by 1, and its rows are their finite differences.
-The points come out grouped by key; dilate_integer_points sorts them into
+payload for all the point prefixes that reach it: their paths of corner-sum
+rows, their number, or, for the certificate's census, the slice on the
+cells of each corner-sum row above that they pass through, with its
+count; keys that meet add up their payloads.  At the end of each row a
+hook extends each key's payload once, so no frame is resumed per point: a
+point's rows are the finite differences of its corner-sum rows, and the
+census checks each key's slice once for all the points through it.  The
+points come out grouped by key; dilate_integer_points sorts them into
 row-major lexicographic order at the end.  At t = 1 the points are the
-vertices, so the scan doubles as the census of the inequality description;
+vertices, so the scan doubles as a check of the inequality description;
 only dilates with t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
 
-from itertools import chain, pairwise
-from operator import le
+from itertools import accumulate, chain, pairwise
+from operator import add, le
 from typing import NamedTuple, Sequence
 
 from ._linalg import convex_combination_exists, rank
-from .matrices import Matrix, Scalar, _inverse_corner_rows, _partial_sums
+from .matrices import Matrix, Scalar, _inverse_corner_rows
 from .shapes import SkewShape, _between
 
 DILATE_SIZE_LIMIT = 8
@@ -162,10 +165,10 @@ class PasmPolytope:
         after cell (i, j) is C(i, 1..j) followed by C(i - 1, j + 1..n), so
         at the end of row i it is the corner-sum row ``after`` = C(i, .).
         There ``close(payload, i, after)`` (i 0-based) gives the payload of
-        the prefixes extended by that row, once per key: a point's slice of
-        its image depends on ``after`` alone, which is after[cols] plus 1
-        for the row's cells' columns ``cols``.  The bounds on the full line
-        sums close every row and column.
+        the prefixes extended by that row, once per key: a point's corner sums
+        on the row's cells depend on ``after`` alone, as after[cols] for
+        the cells' columns ``cols``.  The bounds on the full line sums close
+        every row and column.
         """
         n = self.n
         lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in self._bounds())
@@ -175,19 +178,6 @@ class PasmPolytope:
                 keys = _cell(keys, j, lo_h[k], hi_h[k], lo_v[k], hi_v[k])
             keys = {after: close(payload, i, after) for after, payload in keys.items()}
         return list(keys.values())
-
-    def _scan_images(self, t: int) -> list[tuple[int, ...]]:
-        """The image of every integer point of the t-dilate, grouped by the
-        keys of the cell walk: the order-preserving map into
-        {1, ..., t + 1} that the point matches, its corner sums plus 1 on the
-        skew cells in row-major order."""
-        cols = [r.cols for r in self._row_layout()]
-
-        def close(images, i, after):
-            part = tuple([c + 1 for c in after[cols[i]]])
-            return [image + part for image in images]
-
-        return list(chain.from_iterable(self._scan(t, [()], close)))
 
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
@@ -289,13 +279,35 @@ def _cell(keys: dict, j: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dic
     return reached
 
 
+def _row_bounds(bounds: tuple[list[int], ...], n: int) -> list[tuple[list[int], ...]]:
+    """The bound lists of PasmPolytope._bounds cut into one
+    (lo_H, hi_H, lo_V, hi_V) per grid row of n columns."""
+    return [tuple(xs[k:k + n] for xs in bounds) for k in range(0, len(bounds[0]), n)]
+
+
+def _row_within(bounds: tuple[list[int], ...], above: Sequence[Scalar],
+                row: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
+    """One grid row of the membership test: the column partial sums through
+    the row, given those through the rows above it, if the row's row and
+    column partial sums lie within its bounds, one row of _row_bounds;
+    None if one does not."""
+    lo_h, hi_h, lo_v, hi_v = bounds
+    h = list(accumulate(row))
+    v = tuple(map(add, above, row))
+    if all(map(le, lo_h, h)) and all(map(le, h, hi_h)) and all(map(le, lo_v, v)) and all(map(le, v, hi_v)):
+        return v
+    return None
+
+
 def _within(bounds: tuple[list[int], ...], rows: Sequence[Sequence[Scalar]]) -> bool:
     """True iff every row and column partial sum of the grid lies within the
-    bounds of PasmPolytope._bounds."""
-    lo_h, hi_h, lo_v, hi_v = bounds
-    h, v = _partial_sums(rows)
-    return (all(map(le, lo_h, h)) and all(map(le, h, hi_h))
-            and all(map(le, lo_v, v)) and all(map(le, v, hi_v)))
+    bounds of PasmPolytope._bounds, checked one row at a time."""
+    above: tuple[Scalar, ...] | None = (0,) * len(rows[0])
+    for row_bounds, row in zip(_row_bounds(bounds, len(rows[0])), rows):
+        above = _row_within(row_bounds, above, row)
+        if above is None:
+            return False
+    return True
 
 
 def is_extreme(X: Matrix, others: list[Matrix]) -> bool:

@@ -13,7 +13,7 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .matrices import Scalar, _exact
-from .shapes import Cell, SkewShape
+from .shapes import Cell, SkewShape, _int
 
 
 class SkewPoset:
@@ -265,8 +265,10 @@ def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int,
     element's lower covers are assigned before it.  The search is a
     depth-first walk in one frame: values[k] holds the iterator over the
     values still to try for element k, from the largest value of its lower
-    covers up to t.
+    covers up to t.  A t that is not an int, a bool among them, raises
+    TypeError.
     """
+    t = _int(t, "chain length")
     if t < 1:
         raise ValueError("the target chain must have at least one element")
     d = len(P)
@@ -300,8 +302,10 @@ def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:
     ideal and P, so Omega(P, t) = zeta^t(empty, P) on J(P) (Stanley, "Two
     poset polytopes", 1986).  Each zeta pass sums g over all sub-ideals one
     element at a time, in row-major order: adding g(I - {x}) to g(I) for
-    every cover pair of x.
+    every cover pair of x.  A t_max that is not an int, a bool among them,
+    raises TypeError.
     """
+    t_max = _int(t_max, "t_max")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     ideals, covers = _ideal_lattice(P)
@@ -316,7 +320,9 @@ def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:
 
 
 def order_polynomial_value(P: SkewPoset, t: int) -> int:
-    """Number of order-preserving maps from P into a t-chain."""
+    """Number of order-preserving maps from P into a t-chain; a t that is
+    not an int, a bool among them, raises TypeError."""
+    t = _int(t, "chain length")
     if t < 1:
         raise ValueError("order polynomial is defined for positive t")
     return order_polynomial_values(P, t)[-1]

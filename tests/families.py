@@ -30,5 +30,13 @@ def all_skew_shapes(max_outer_size: int, max_skew_size: int | None = None) -> li
     return shapes
 
 
+def in_three_boxes(shape: SkewShape) -> tuple[SkewShape, ...]:
+    """The shape in its minimal box, with one more row, and with two more
+    columns."""
+    return (shape,
+            SkewShape(shape.nu, shape.lam, shape.m + 1, shape.n),
+            SkewShape(shape.nu, shape.lam, shape.m, shape.n + 2))
+
+
 def staircase(n: int) -> Partition:
     return Partition(range(n - 1, 0, -1))

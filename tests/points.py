@@ -1,12 +1,14 @@
 """Test points: rational points of a polytope, built in ``Fraction``
 arithmetic from its vertex matrices, the 0/1 points of an order polytope,
 the partial sums of a matrix, one line at a time, as an oracle for the
-package's flat partial-sum kernel, and a polytope's bound lists with the
-bounds on one grid edge pinned."""
+package's flat partial-sum kernel, a polytope's bound lists with the
+bounds on one grid edge pinned, and what the certificate's census of a
+dilate reports for a list of its points."""
 
 from fractions import Fraction
 
-from pasmpoly import Matrix
+from pasmpoly import Matrix, build_poset
+from pasmpoly.skewposet import enumerate_order_preserving_maps
 
 
 def filter_indicator(P, filt) -> dict:
@@ -55,3 +57,15 @@ def narrowed_bounds(poly, edge, lo: int, hi: int) -> tuple[list[int], ...]:
     side, k = "HV".index(kind) * 2, (i - 1) * poly.n + (j - 1)
     lists[side][k], lists[side + 1][k] = lo, hi
     return tuple(lists)
+
+
+def listing_census(poly, t: int, points) -> tuple[int, bool, bool]:
+    """(count, valid, distinct) for the points of the t-th dilate of poly,
+    given by their rows: how many there are, whether each one's image, its
+    corner sums on the skew cells plus 1, each summed over its northwest
+    block, is an order-preserving map into {1, ..., t + 1}, and whether
+    the images are distinct."""
+    maps = set(enumerate_order_preserving_maps(build_poset(poly.shape), t + 1))
+    images = [tuple(1 + sum(x for row in rows[:i] for x in row[:j]) for i, j in poly.shape.cells())
+              for rows in points]
+    return len(images), all(image in maps for image in images), len(set(images)) == len(images)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -20,10 +21,11 @@ from pasmpoly import (
     to_order_point,
 )
 from pasmpoly import equivalences
+import pasmpoly.polytope
 from pasmpoly.equivalences import certificate_passes
 from pasmpoly.matrices import _corner_rows
 
-from families import all_skew_shapes, staircase
+from families import all_skew_shapes, in_three_boxes, staircase
 from golden import (
     COMPLETED_4,
     ORDER_POINT_422_31,
@@ -34,6 +36,7 @@ from points import (
     column_partial_sums,
     convex_combination,
     filter_indicator,
+    listing_census,
     narrowed_bounds,
     row_partial_sums,
 )
@@ -233,46 +236,138 @@ def _corner_image(rows, cells):
 
 
 def _scan_with(monkeypatch, corrupt):
-    """Replace the points of the private scan by corrupt(points, t, poly) of
-    their rows, taken in the order of the images that the cell walk hands
-    the certificate: grouped by key.  The certificate reads the corrupted
-    points' images in that order, and dilate_integer_points lists them
-    sorted, as the real one does; the image of every point is recomputed
-    from its rows."""
-    real_images, real_points = PasmPolytope._scan_images, PasmPolytope.dilate_integer_points
+    """Replace the points of each dilate by corrupt(points, t, poly) of their
+    rows, listed in the order of dilate_integer_points.  The census reports
+    what it would for the corrupted points, and dilate_integer_points lists
+    them sorted, as the real one does."""
+    real_points = PasmPolytope.dilate_integer_points
 
-    def points(self, t):
-        cells = self.shape.cells()
+    def points(poly, t):
+        return corrupt([X.rows for X in real_points(poly, t)], t, poly)
 
-        def image(rows):
-            return tuple(c + 1 for c in _corner_image(rows, cells))
-
-        position = {lifted: k for k, lifted in enumerate(real_images(self, t))}
-        walked = sorted((X.rows for X in real_points(self, t)), key=lambda rows: position[image(rows)])
-        return [(rows, image(rows)) for rows in corrupt(walked, t, self)]
-
-    monkeypatch.setattr(PasmPolytope, "_scan_images",
-                        lambda self, t: [image for _, image in points(self, t)])
+    monkeypatch.setattr(equivalences, "_census",
+                        lambda poly, P, t: listing_census(poly, t, points(poly, t)))
     monkeypatch.setattr(PasmPolytope, "dilate_integer_points",
-                        lambda self, t: [Matrix(rows) for rows, _ in sorted(points(self, t))])
+                        lambda self, t: [Matrix(rows) for rows in sorted(points(self, t))])
+
+
+def _census_of(poly, t):
+    return equivalences._census(poly, build_poset(poly.shape), t)
 
 
 def test_scan_images_are_the_corner_sums_on_the_cells():
-    # The image each transition's slices build is the corner sums on the
-    # cells plus 1, and the row-layout kernel of the certificate gives the
-    # corner sums themselves.
+    # The census of the walk reports what the listed points' corner sums on
+    # the cells plus 1 give, and the row-layout kernel of the certificate
+    # gives the corner sums themselves.
     shapes = [(shape, t) for shape in all_skew_shapes(6) for t in range(4)]
     shapes.append((SkewShape(Partition([6] * 5), Partition()), 1))
     for shape, t in shapes:
         poly, cells = PasmPolytope(shape), shape.cells()
         layout = poly._row_layout()
         points = [X.rows for X in poly.dilate_integer_points(t)]
-        images = poly._scan_images(t)
-        assert sorted(images) == sorted(tuple(c + 1 for c in _corner_image(rows, cells))
-                                        for rows in points), (shape, t)
+        assert _census_of(poly, t) == listing_census(poly, t, points) == (len(points), True, True), (shape, t)
         for rows in points:
             expected = _corner_image(rows, cells)
             assert equivalences._corner_image(rows, layout) == expected
+
+
+def test_census_matches_the_listing_in_three_boxes():
+    # (count, valid, distinct) of the census equal those of the listed
+    # points, shape by shape, in the minimal box and in two larger ones.
+    for shape in chain.from_iterable(map(in_three_boxes, all_skew_shapes(6))):
+        poly = PasmPolytope(shape)
+        for t in range(4):
+            points = [X.rows for X in poly.dilate_integer_points(t)]
+            assert _census_of(poly, t) == listing_census(poly, t, points), (shape, t)
+
+
+@pytest.mark.parametrize("edge", [("H", 3, 2), ("V", 3, 2)], ids=["H(3,2)", "V(3,2)"])
+def test_a_bound_below_zero_at_a_cover_cell_fails_the_census(monkeypatch, edge):
+    # On (4,2,2)/(3,1), both bounds are [0, 1].  H(3, 2) >= -1 lets the
+    # corner sum of the cell (3, 2) fall below that of (2, 2) above it, and
+    # V(3, 2) >= -1 below that of (3, 1) west of it: the census names a
+    # point whose image breaks the cover.
+    poly = example_polytope()
+    kind = edge[0]
+    widened = narrowed_bounds(poly, edge, -1, 1)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: widened)
+    report = certify_integral_equivalence(poly, 2)
+    assert report["affine_unimodular"] is True
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert report["counterexample"]["dilate"] == 1
+    C = _corner_rows(report["counterexample"]["point"]["entries"])
+    a, b = ((1, 1), (2, 1)) if kind == "H" else ((2, 0), (2, 1))
+    assert C[a[0]][a[1]] > C[b[0]][b[1]]
+    assert not certificate_passes(report)
+
+
+def test_a_corner_sum_above_t_fails_the_census(monkeypatch):
+    # V(3, 3) >= -1 lets C(3, 2) = C(3, 3) + 1 = 2 on the cell (3, 2), with
+    # no cover broken, and H(4, 2) >= -1 lets that point close: the census
+    # names a point whose image leaves [0, t].
+    poly = example_polytope()
+    lists = [list(xs) for xs in poly._bounds()]
+    lists[0][3 * poly.n + 1] = -1   # lo_H of H(4, 2)
+    lists[2][2 * poly.n + 2] = -1   # lo_V of V(3, 3)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: tuple(lists))
+    report = certify_integral_equivalence(poly, 1)
+    assert report["dilate_counts"] == []
+    assert report["counterexample"]["dilate"] == 1
+    assert _corner_rows(report["counterexample"]["point"]["entries"])[2][1] == 2
+    assert not certificate_passes(report)
+
+
+def test_a_widened_pin_on_a_non_cell_corner_sum_fails_the_census(monkeypatch):
+    # H(1, 5) = C(1, 5) is pinned to t, east of the only cell (1, 4) of row
+    # 1.  Widened to [0, t], two keys of row 1 share their slice on the
+    # cells, so a slice no longer names its point; the count alone still
+    # matches at t = 1.
+    poly = example_polytope()
+    widened = narrowed_bounds(poly, ("H", 1, 5), 0, 1)
+    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: widened)
+    assert _census_of(poly, 1) == (10, True, False)
+    report = certify_integral_equivalence(poly, 2)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == [[1, 10, 10]]
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
+def test_a_cell_walk_that_drops_one_successor_fails_the_census(monkeypatch):
+    real, dropped = pasmpoly.polytope._cell, []
+
+    def drop_one(keys, *bounds):
+        reached = real(keys, *bounds)
+        if not dropped and len(reached) > 1:
+            dropped.append(reached.popitem())
+        return reached
+
+    monkeypatch.setattr(pasmpoly.polytope, "_cell", drop_one)
+    report = certify_integral_equivalence(example_polytope(), 2)
+    assert dropped
+    assert report["vertex_bijection"] is False
+    [[t, count, total]] = report["dilate_counts"]
+    assert (t, total) == (1, 10) and count < total
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
+def test_the_round_trip_memo_reads_the_sums_above_the_row(monkeypatch):
+    # B shares its rows from 3 on with the vertex A, under the column sums
+    # of another vertex X, and breaks V(3, 2).  A memo keyed by the row
+    # alone would pass B on A's steps.
+    poly = example_polytope()
+    verts = poly.vertices()
+    A, X = verts[0], verts[2]
+    B = Matrix(X.rows[:2] + A.rows[2:])
+    assert [sum(col) for col in zip(*A.rows[:2])] != [sum(col) for col in zip(*X.rows[:2])]
+    assert not poly.satisfies_inequalities(B)
+    monkeypatch.setattr(PasmPolytope, "vertices", lambda self: [A, B])
+    report = certify_integral_equivalence(poly, 1)
+    assert report["affine_unimodular"] is False
+    assert report["counterexample"] == {"vertex": B.to_json_dict()}
+    assert not certificate_passes(report)
 
 
 def test_certificate_catches_a_dropped_point(monkeypatch):
@@ -362,16 +457,15 @@ def test_certificate_names_the_first_point_off_the_order_maps(monkeypatch):
 
 
 def test_an_image_off_the_maps_with_no_such_point_names_the_dilate(monkeypatch):
-    # The scan hands over one image off the maps, but every listed point
-    # is right: no point qualifies, so the dilate alone is the
-    # counterexample.
-    real = PasmPolytope._scan_images
+    # The census reports an image off the maps, but every listed point is
+    # right: no point qualifies, so the dilate alone is the counterexample.
+    real = equivalences._census
 
-    def one_off(self, t):
-        images = real(self, t)
-        return [(0,) * len(images[0])] + images[1:]
+    def one_off(poly, P, t):
+        count, _, distinct = real(poly, P, t)
+        return count, False, distinct
 
-    monkeypatch.setattr(PasmPolytope, "_scan_images", one_off)
+    monkeypatch.setattr(equivalences, "_census", one_off)
     report = certify_integral_equivalence(example_polytope(), 2)
     assert report["vertex_bijection"] is False
     assert report["dilate_counts"] == []
@@ -475,14 +569,15 @@ def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
 
 
 def test_certificate_catches_a_wrong_inverse(monkeypatch):
-    real = equivalences._from_order_values
+    # The inverse of each row step is off by one in its last entry.
+    real = equivalences._inverse_corner_row
 
-    def perturbed(vals, layout):
-        rows = [list(r) for r in real(vals, layout)]
-        rows[-1][-1] += 1
-        return tuple(map(tuple, rows))
+    def perturbed(row, above):
+        out = list(real(row, above))
+        out[-1] += 1
+        return tuple(out)
 
-    monkeypatch.setattr(equivalences, "_from_order_values", perturbed)
+    monkeypatch.setattr(equivalences, "_inverse_corner_row", perturbed)
     poly = example_polytope()
     report = certify_integral_equivalence(poly, 2)
     assert report["affine_unimodular"] is False
@@ -495,7 +590,7 @@ def test_certificate_guardrail_comes_before_vertex_work(monkeypatch):
         raise AssertionError("vertices or dilate points enumerated before the guardrail")
 
     monkeypatch.setattr(PasmPolytope, "vertices", refuse)
-    monkeypatch.setattr(PasmPolytope, "_scan_images", refuse)
+    monkeypatch.setattr(equivalences, "_census", refuse)
     big = PasmPolytope(SkewShape(Partition([5, 4]), Partition()))
     with pytest.raises(ResourceLimit):
         certify_integral_equivalence(big, 2)

@@ -398,6 +398,15 @@ def test_count_integer_flows_validates():
         count_integer_flows(G, -1)
 
 
+def test_count_integer_flows_refuses_a_bool_or_a_non_int_size():
+    # True once counted the flows of size 1, and 2.0 failed inside range.
+    G = build_flow_graph(build_poset(EXAMPLE))
+    assert count_integer_flows(G, 1) == 10
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            count_integer_flows(G, bad)
+
+
 def test_flow_graph_dot_and_json():
     P = build_poset(EXAMPLE)
     G = build_flow_graph(P)

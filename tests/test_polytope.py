@@ -24,14 +24,14 @@ from pasmpoly import (
 )
 import pasmpoly.polytope
 from pasmpoly._linalg import rank
-from pasmpoly.equivalences import _corner_image
+from pasmpoly.equivalences import _census, _corner_image
 from pasmpoly.facelattice import Edge
 from pasmpoly.polytope import DILATE_SIZE_LIMIT
 from pasmpoly.skewposet import order_polynomial_values
 
-from families import all_skew_shapes, staircase
+from families import all_skew_shapes, in_three_boxes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
-from points import column_partial_sums, convex_combination, narrowed_bounds, row_partial_sums
+from points import column_partial_sums, convex_combination, listing_census, narrowed_bounds, row_partial_sums
 from test_linalg import fraction_convex_combination_exists, fraction_rank
 
 F = Fraction
@@ -149,14 +149,6 @@ def _scan_integer_points(poly: PasmPolytope, t: int) -> Iterator[Matrix]:
     yield from rec(1, 1, 0)
 
 
-def _in_three_boxes(shape: SkewShape) -> tuple[SkewShape, ...]:
-    """The shape in its minimal box, with one more row, and with two more
-    columns."""
-    return (shape,
-            SkewShape(shape.nu, shape.lam, shape.m + 1, shape.n),
-            SkewShape(shape.nu, shape.lam, shape.m, shape.n + 2))
-
-
 def test_satisfies_inequalities_on_vertices():
     poly = example_polytope()
     for M in VERTICES_422_31.values():
@@ -222,7 +214,7 @@ def test_membership_matches_the_zero_form_near_the_centroid():
     # Exchanges keep the line sums, so only the partial-sum bounds and the
     # fixed zeros decide these points.
     for minimal in all_skew_shapes(4):
-        for shape in _in_three_boxes(minimal):
+        for shape in in_three_boxes(minimal):
             poly = PasmPolytope(shape)
             verts = poly.vertices()
             centroid = convex_combination([F(1, len(verts))] * len(verts), verts)
@@ -281,7 +273,7 @@ def test_scan_matches_cell_by_cell_oracle_sweep():
     for minimal in all_skew_shapes(7):
         if minimal.size > 8:
             continue
-        for shape in _in_three_boxes(minimal):
+        for shape in in_three_boxes(minimal):
             poly = PasmPolytope(shape)
             for t in range(4):
                 assert poly.dilate_integer_points(t) == list(_scan_integer_points(poly, t)), (shape, t)
@@ -310,9 +302,9 @@ def _oracle_image(P: Matrix, cells) -> tuple[int, ...]:
 @given(boxed_skew_shapes(), st.integers(0, 3), st.data())
 def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     # The one cell walk, with each of its payloads: the points in order,
-    # with the images the certificate reads off them, the images grouped
-    # by key, and the counts; the points and counts also under a narrowed
-    # mid-row or column bound.
+    # with the images the certificate reads off them, the certificate's
+    # census of their images, and the counts; the points and counts also
+    # under a narrowed mid-row or column bound.
     poly = PasmPolytope(shape)
     oracle = list(_scan_integer_points(poly, t))
     cells, layout = shape.cells(), poly._row_layout()
@@ -320,7 +312,7 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     points = poly.dilate_integer_points(t)
     assert points == oracle
     assert [(X.rows, tuple(c + 1 for c in _corner_image(X.rows, layout))) for X in points] == expected
-    assert sorted(poly._scan_images(t)) == sorted(image for _, image in expected)
+    assert _census(poly, build_poset(shape), t) == listing_census(poly, t, [P.rows for P in oracle])
     assert poly.dilate_lattice_points(t).count == len(oracle)
 
     narrowable = _narrowable_edges(poly)
@@ -406,7 +398,7 @@ def test_the_interval_walk_matches_the_brute_force_interval():
     for shape in all_skew_shapes(7):
         brute = _brute_interval(shape.lam, shape.nu)
         assert enumerate_between(shape.lam, shape.nu) == brute, shape
-        for boxed in _in_three_boxes(shape):
+        for boxed in in_three_boxes(shape):
             oracle = [vertex_matrix(mu, boxed.m, boxed.n) for mu in brute]
             assert PasmPolytope(boxed).vertices() == oracle, boxed
 
@@ -454,7 +446,7 @@ def test_t_one_scan_states_are_corner_sum_steps(monkeypatch):
     # The premise of the guardrail's pass at t = 1: every key at the end of
     # a row is a corner-sum row that steps once from 0 to 1, and no column
     # of the cell walk holds more than (n + 1)(n + 2)/2 <= (n + 1)^2 keys.
-    shapes = [box for shape in all_skew_shapes(6) for box in _in_three_boxes(shape)]
+    shapes = [box for shape in all_skew_shapes(6) for box in in_three_boxes(shape)]
     shapes.append(SkewShape(Partition([9] * 8), Partition()))
     cell = pasmpoly.polytope._cell
     held = []
@@ -530,7 +522,7 @@ def test_dimension_ranks_the_first_row_and_the_distinct_steps(monkeypatch):
         return rank(rows)
 
     monkeypatch.setattr(pasmpoly.polytope, "rank", spy)
-    for shape in chain.from_iterable(map(_in_three_boxes, all_skew_shapes(7))):
+    for shape in chain.from_iterable(map(in_three_boxes, all_skew_shapes(7))):
         poly = PasmPolytope(shape)
         calls.clear()
         dim = poly.dimension()

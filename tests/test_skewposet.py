@@ -322,6 +322,20 @@ def test_order_polynomial_beyond_fifteen_elements():
         order_polynomial_values(P, -1)
 
 
+@pytest.mark.parametrize("count", [
+    order_polynomial_values,
+    order_polynomial_value,
+    lambda P, t: list(enumerate_order_preserving_maps(P, t)),
+], ids=["order_polynomial_values", "order_polynomial_value", "enumerate_order_preserving_maps"])
+def test_counts_refuse_a_bool_or_a_non_int_t(count):
+    # True once counted as 1, and 2.0 failed inside range.
+    P = build_poset(EXAMPLE)
+    count(P, 2)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            count(P, bad)
+
+
 # Every skew shape with 6 to 8 cells in a 4 x 4 box.  Sampling from the list
 # keeps hypothesis from discarding most draws (its filter health check).
 _BOX = [sorted(c, reverse=True) for c in combinations_with_replacement(range(5), 4)]
