@@ -13,10 +13,11 @@ The vertex round trip takes one grid row at a time, under the column sums
 of the rows above it: the row's bounds, its corner-sum row and the inverse
 under the completed corner-sum row above.  Vertices share their row steps,
 so each distinct step is checked once.  A dilate is checked by a census of
-the scan's cell walk: at the end of each row, each key's slice on the cells
-is checked once against the range and the covers of the cell poset, for all
-the points through it, and the points are counted, not listed; they are
-listed, by dilate_integer_points, only to name a counterexample.  The
+the scan's count walk: each cover of the cell poset is checked at the cell
+that ends it, and at the end of each row each key's slice on the cells is
+checked once against [0, t] and the other slices, for all the points
+through it.  The points are counted, not listed; they are listed, by
+dilate_integer_points, only to name a counterexample.  The
 vertex round trip reads the bound lists and the shape's row layout once per
 certificate.
 """
@@ -90,50 +91,45 @@ def complete_to_asm(M: Matrix) -> Matrix:
 
 def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
     """(count, valid, distinct) for the integer points of the t-th dilate,
-    from one cell walk of the scan, with no point listed.
+    from one count walk of the scan, with no point listed.
 
-    The covers a < b of the cell poset P are filed under the row of b, as
-    offsets into slices of corner-sum rows on the cells: the east covers,
-    both ends in that row's slice, and the south covers, from the slice of
-    the row above; the cells of a skew shape are convex, so there are no
-    others.  A key's payload lists each origin, the key at the end of the
-    row above that its prefixes passed, as (that key's slice, count).  At
-    the end of each row, ``close`` takes the key's own slice s and checks
-    that it lies in [0, t], that it is weakly increasing along the east
-    covers, and that no other key of the row has the same slice; for each
-    origin it checks the south covers from the origin's slice into s and
-    adds the origin's count.
+    Each cover a < b of the cell poset P joins b to its west or north
+    neighbour; a key breaks it iff b's V (H) step from a can be negative.
+    So only where that step's lower bound in b's (lo_h, hi_h, lo_v, hi_v)
+    is negative does the census probe: b's step with the step's upper bound
+    cut to -1 reaches a key iff a key breaks the cover.  At each row end
+    ``close`` files each key's slice; each must lie in [0, t], no two equal.
 
     count is the number of points.  valid says that no key broke the range
-    or a cover, so that every point's corner sums on the cells, plus 1, are
-    an order-preserving map into {1, ..., t + 1}.  distinct says that at
-    every row end the slice determines the key, so that those maps are
-    distinct.
+    or a cover, so every point's corner sums on the cells, plus 1, are an
+    order-preserving map into {1, ..., t + 1}; distinct, that at every row
+    end the slice determines the key, so those maps are distinct.
     """
-    layout = poly._row_layout()
-    row = [i for i, r in enumerate(layout) for _ in range(r.vals.start, r.vals.stop)]
-    east: list[list[tuple[int, int]]] = [[] for _ in layout]
-    south: list[list[tuple[int, int]]] = [[] for _ in layout]
+    n, lows = poly.n, {}
     for a, b in P.covers:
-        i = row[b]
-        (east if row[a] == i else south)[i].append((a - layout[row[a]].vals.start, b - layout[i].vals.start))
-    cols = [r.cols for r in layout]
-    seen: list[set] = [set() for _ in cols]
-    valid = distinct = True
+        i, c = P.elements[b]
+        # The index of the lower bound of b's step from a: lo_v from the west, lo_h from the north.
+        lows.setdefault((i - 1) * n + c - 1, []).append(2 if P.elements[a][0] == i else 0)
+    cols = [r.cols for r in poly._row_layout()]
+    slices: list[list[tuple[int, ...]]] = [[] for _ in cols]
+    broken = False
 
-    def close(origins, i, after):
-        nonlocal valid, distinct
-        s = after[cols[i]]
-        if s in seen[i]:
-            distinct = False
-        seen[i].add(s)
-        if valid and not (all([0 <= c <= t for c in s]) and all([s[p] <= s[q] for p, q in east[i]])
-                          and all([o[p] <= s[q] for o, _ in origins for p, q in south[i]])):
-            valid = False
-        return [(s, sum([count for _, count in origins]))]
+    def probe(k, bounds, step):
+        nonlocal broken
+        for lo in lows.get(k, ()):
+            if bounds[lo] < 0 and not broken:
+                cut = list(bounds)
+                cut[lo + 1] = min(cut[lo + 1], -1)
+                broken = bool(step(*cut))
 
-    ends = poly._scan(t, [((), 1)], close)
-    return sum(count for payload in ends for _, count in payload), valid, distinct
+    def close(count, i, after):
+        slices[i].append(after[cols[i]])
+        return count
+
+    count = sum(poly._scan(t, 1, close, probe))
+    values = list(chain.from_iterable(chain.from_iterable(slices)))
+    valid = not broken and (not values or (0 <= min(values) and max(values) <= t))
+    return count, valid, all(len(set(row)) == len(row) for row in slices)
 
 
 def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
@@ -236,7 +232,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return fail("vertex_bijection",
                     {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
 
-    # The census counts the points and checks their images per row; the
+    # The census counts the points and checks their images; the
     # maps are counted, and listed as a set only at t = 1 and to name the
     # first point whose image is not a map.
     ones = (1,) * len(P)

@@ -35,21 +35,18 @@ one cell at a time in row-major order (the transfer-matrix method).  The
 corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, is complete after row i,
 and every bound is on a difference of two corner sums: H(i, j) = C(i, j) -
 C(i - 1, j) against the row above, V(i, j) = C(i, j) - C(i, j - 1) against
-the west neighbour.  So the key after cell (i, j) is C(i, 1..j) followed by
-C(i - 1, j + 1..n): the new row through column j, then the old row, and
-each entry is drawn from its H interval over the old entry it replaces and
-its V step from the new entry before it.  The walk keeps, for each key, one
-payload for all the point prefixes that reach it: their paths of corner-sum
-rows, their number, or, for the certificate's census, the slice on the
-cells of each corner-sum row above that they pass through, with its
-count; keys that meet add up their payloads.  At the end of each row a
-hook extends each key's payload once, so no frame is resumed per point: a
-point's rows are the finite differences of its corner-sum rows, and the
-census checks each key's slice once for all the points through it.  The
-points come out grouped by key; dilate_integer_points sorts them into
-row-major lexicographic order at the end.  At t = 1 the points are the
-vertices, so the scan doubles as a check of the inequality description;
-only dilates with t >= 2 pass a guardrail.
+the west neighbour.  So the key after cell (i, j), packed into one int, is
+C(i, 1..j) followed by C(i - 1, j + 1..n), and each entry is drawn from its
+H interval over the old entry it replaces and its V step from the new entry
+before it.  The walk keeps, for each key, one payload for all the point
+prefixes that reach it, their paths of corner-sum rows or their number, and
+keys that meet add up their payloads.  At the end of each row a hook
+extends each key's payload once, so no frame is resumed per point: a
+point's rows are the finite differences of its corner-sum rows.  The points
+come out grouped by key; dilate_integer_points sorts them into row-major
+lexicographic order at the end.  At t = 1 the points are the vertices, so
+the scan doubles as a check of the inequality description; only dilates
+with t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
@@ -154,29 +151,35 @@ class PasmPolytope:
             verts.append(Matrix._of_ints(rows))
         return verts
 
-    def _scan(self, t: int, seed, close) -> list:
-        """The cell walk of the t-dilate: the payloads of its integer points,
-        one per corner-sum row after the last row, in the order the rows are
-        reached.
+    def _scan(self, t: int, seed, close, probe=None) -> list:
+        """The payloads of the t-dilate's integer points after its cell walk,
+        one per corner-sum row after the last row, in the order reached.
 
-        The walk keeps a dict from each key to one payload for all the point
-        prefixes that reach it, starting from ``seed`` at the zero key, and
-        moves it through the cells in row-major order with _cell.  The key
-        after cell (i, j) is C(i, 1..j) followed by C(i - 1, j + 1..n), so
-        at the end of row i it is the corner-sum row ``after`` = C(i, .).
-        There ``close(payload, i, after)`` (i 0-based) gives the payload of
-        the prefixes extended by that row, once per key: a point's corner sums
-        on the row's cells depend on ``after`` alone, as after[cols] for
-        the cells' columns ``cols``.  The bounds on the full line sums close
-        every row and column.
+        The walk moves a dict from each key to one payload for all the point
+        prefixes that reach it, from ``seed`` at the zero key, through the
+        cells in row-major order with _cell.  Bits j * w to j * w + w - 1 of
+        a key hold C(., j) plus a bias, C(., 0) = 0 included; each corner sum
+        is a column prefix sum of H, and those of the H bounds give the bias
+        and w.  At the end of row i (0-based), close(payload, i, after)
+        extends the payload by the row, with the key decoded into ``after`` =
+        C(i, .).  probe(k, bounds, step), if given, runs before cell k
+        (row-major, 0-based), given its bounds (lo_h, hi_h, lo_v, hi_v) in
+        the dilate; step(*cut) steps the keys through it under bounds cut.
         """
-        n = self.n
+        m, n = self.m, self.n
         lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in self._bounds())
-        keys = {(0,) * n: seed}
-        for i in range(self.m):
-            for j, k in enumerate(range(i * n, (i + 1) * n)):
-                keys = _cell(keys, j, lo_h[k], hi_h[k], lo_v[k], hi_v[k])
-            keys = {after: close(payload, i, after) for after, payload in keys.items()}
+        bias = -min(0, *(min(accumulate(lo_h[j::n])) for j in range(n)))
+        w = (max(0, *(max(accumulate(hi_h[j::n])) for j in range(n))) + bias).bit_length() or 1
+        mask, shifts = (1 << w) - 1, range(w, (n + 1) * w, w)
+        keys = {sum([bias << s for s in range(0, (n + 1) * w, w)]): seed}
+        cells = list(zip(lo_h, hi_h, lo_v, hi_v))
+        for i in range(m):
+            for s, k in zip(shifts, range(i * n, (i + 1) * n)):
+                if probe:
+                    probe(k, cells[k], lambda *cut: _cell(keys, s, w, mask, *cut))
+                keys = _cell(keys, s, w, mask, *cells[k])
+            keys = {key: close(payload, i, tuple([(key >> s & mask) - bias for s in shifts]))
+                    for key, payload in keys.items()}
         return list(keys.values())
 
     def dimension(self) -> int:
@@ -258,23 +261,24 @@ class PasmPolytope:
         return f"PasmPolytope({self.shape!r})"
 
 
-def _cell(keys: dict, j: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dict:
-    """One cell of the scan's walk, in column j + 1 of row i (j 0-based): each
-    key's entry C(i - 1, j + 1) is replaced by every C(i, j + 1) within
+def _cell(keys: dict, s: int, w: int, mask: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dict:
+    """One cell of the scan's walk, on the w-bit field at bit s of each
+    packed key: its C(i - 1, j) is replaced by every C(i, j) within
     [lo_h, hi_h] over it (the H bound) and within [lo_v, hi_v] over the
-    key's C(i, j) before it, or 0 at j = 0 (the V bound).  Keys that meet
-    add up their payloads with ``+``; a key with no value dies."""
+    field below, C(i, j - 1) (the V bound), one range of keys.  Keys that
+    meet add up their payloads with ``+``; a key with no value dies."""
     reached: dict = {}
+    step, field = 1 << s, mask << s
+    lo_h, hi_h, lo_v, hi_v = lo_h << s, (hi_h << s) + 1, lo_v << s, (hi_v << s) + 1
     for key, payload in keys.items():
-        north, west = key[j], key[j - 1] if j else 0
-        lo, hi = north + lo_h, north + hi_h
+        # The key with its field C(i - 1, j) replaced by C(i, j - 1).
+        west = key + (key << w & field) - (key & field)
+        lo, hi = key + lo_h, key + hi_h
         if lo < west + lo_v:
             lo = west + lo_v
         if hi > west + hi_v:
             hi = west + hi_v
-        head, tail = key[:j], key[j + 1:]
-        for c in range(lo, hi + 1):
-            after = head + (c,) + tail
+        for after in range(lo, hi, step):
             reached[after] = reached[after] + payload if after in reached else payload
     return reached
 

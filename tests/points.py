@@ -2,12 +2,13 @@
 arithmetic from its vertex matrices, the 0/1 points of an order polytope,
 the partial sums of a matrix, one line at a time, as an oracle for the
 package's flat partial-sum kernel, a polytope's bound lists with the
-bounds on one grid edge pinned, and what the certificate's census of a
-dilate reports for a list of its points."""
+bounds on one grid edge pinned, a polytope that reads a given bound
+table, and what the certificate's census of a dilate reports for a list
+of its points or by the census of origin lists it replaced."""
 
 from fractions import Fraction
 
-from pasmpoly import Matrix, build_poset
+from pasmpoly import Matrix, PasmPolytope, build_poset
 from pasmpoly.skewposet import enumerate_order_preserving_maps
 
 
@@ -59,6 +60,20 @@ def narrowed_bounds(poly, edge, lo: int, hi: int) -> tuple[list[int], ...]:
     return tuple(lists)
 
 
+class TablePolytope(PasmPolytope):
+    """The polytope of a shape with the given bound lists (lo_H, hi_H, lo_V,
+    hi_V) in place of its own."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, shape, table):
+        super().__init__(shape)
+        self.table = table
+
+    def _bounds(self):
+        return self.table
+
+
 def listing_census(poly, t: int, points) -> tuple[int, bool, bool]:
     """(count, valid, distinct) for the points of the t-th dilate of poly,
     given by their rows: how many there are, whether each one's image, its
@@ -69,3 +84,44 @@ def listing_census(poly, t: int, points) -> tuple[int, bool, bool]:
     images = [tuple(1 + sum(x for row in rows[:i] for x in row[:j]) for i, j in poly.shape.cells())
               for rows in points]
     return len(images), all(image in maps for image in images), len(set(images)) == len(images)
+
+
+def origin_census(poly, P, t: int) -> tuple[int, bool, bool]:
+    """(count, valid, distinct) for the integer points of the t-th dilate,
+    by the certificate's census before it became a count walk, kept as the
+    reference for the census of the package.
+
+    The covers a < b of the cell poset P are filed under the row of b, as
+    offsets into slices of corner-sum rows on the cells: the east covers,
+    both ends in that row's slice, and the south covers, from the slice of
+    the row above.  A key's payload lists each origin, the key at the end
+    of the row above that its prefixes passed, as (that key's slice,
+    count).  At the end of each row, ``close`` takes the key's own slice s
+    and checks that it lies in [0, t], that it is weakly increasing along
+    the east covers, and that no other key of the row has the same slice;
+    for each origin it checks the south covers from the origin's slice into
+    s and adds the origin's count."""
+    layout = poly._row_layout()
+    row = [i for i, r in enumerate(layout) for _ in range(r.vals.start, r.vals.stop)]
+    east = [[] for _ in layout]
+    south = [[] for _ in layout]
+    for a, b in P.covers:
+        i = row[b]
+        (east if row[a] == i else south)[i].append((a - layout[row[a]].vals.start, b - layout[i].vals.start))
+    cols = [r.cols for r in layout]
+    seen = [set() for _ in cols]
+    valid = distinct = True
+
+    def close(origins, i, after):
+        nonlocal valid, distinct
+        s = after[cols[i]]
+        if s in seen[i]:
+            distinct = False
+        seen[i].add(s)
+        if valid and not (all([0 <= c <= t for c in s]) and all([s[p] <= s[q] for p, q in east[i]])
+                          and all([o[p] <= s[q] for o, _ in origins for p, q in south[i]])):
+            valid = False
+        return [(s, sum([count for _, count in origins]))]
+
+    ends = poly._scan(t, [((), 1)], close)
+    return sum(count for payload in ends for _, count in payload), valid, distinct

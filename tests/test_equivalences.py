@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -22,7 +22,7 @@ from pasmpoly import (
 )
 from pasmpoly import equivalences
 import pasmpoly.polytope
-from pasmpoly.equivalences import certificate_passes
+from pasmpoly.equivalences import _census, certificate_passes
 from pasmpoly.matrices import _corner_rows
 
 from families import all_skew_shapes, in_three_boxes, staircase
@@ -38,7 +38,9 @@ from points import (
     filter_indicator,
     listing_census,
     narrowed_bounds,
+    origin_census,
     row_partial_sums,
+    TablePolytope,
 )
 
 F = Fraction
@@ -279,6 +281,54 @@ def test_census_matches_the_listing_in_three_boxes():
         for t in range(4):
             points = [X.rows for X in poly.dilate_integer_points(t)]
             assert _census_of(poly, t) == listing_census(poly, t, points), (shape, t)
+
+
+# The (lo, hi) bound pairs the mutant sweeps put on a grid edge.
+_BOUND_PAIRS = [(-1, 1), (-1, 0), (0, 0), (1, 1), (0, 1), (1, 2), (0, 2)]
+
+
+def test_census_matches_the_origin_census_on_single_edge_mutants():
+    # Every H and V edge of every shape of up to 5 cells, set to each bound
+    # pair: the count walk, which checks each cover at the cell that ends
+    # it, reports what the census of origin lists reports.
+    mutants = 0
+    for shape in all_skew_shapes(5):
+        poly, P = PasmPolytope(shape), build_poset(shape)
+        table = poly._bounds()
+        edges = [(kind, i, j) for kind in "HV" for i in range(1, shape.m + 1) for j in range(1, shape.n + 1)]
+        for edge in edges:
+            for lo, hi in _BOUND_PAIRS:
+                mutant = narrowed_bounds(poly, edge, lo, hi)
+                if mutant == table:
+                    continue
+                mutants += 1
+                mutated = TablePolytope(shape, mutant)
+                for t in (1, 2):
+                    assert _census(mutated, P, t) == origin_census(mutated, P, t), (shape, edge, lo, hi, t)
+    assert mutants == 15192
+
+
+def test_census_matches_the_origin_census_with_both_steps_of_a_cell_set():
+    # A cell whose H and V bounds both move can allow a negative step that
+    # no key takes: on (1,1)/() with H(2, 1) in [1, 2] and V(2, 1) in
+    # [-1, 1], the census must probe for steps of -1 or less, not 0.
+    for shape in all_skew_shapes(2):
+        poly, P = PasmPolytope(shape), build_poset(shape)
+        for k in range(shape.m * shape.n):
+            for h, v in product(_BOUND_PAIRS, _BOUND_PAIRS):
+                lists = [list(xs) for xs in poly._bounds()]
+                (lists[0][k], lists[1][k]), (lists[2][k], lists[3][k]) = h, v
+                mutated = TablePolytope(shape, lists)
+                for t in (1, 2):
+                    assert _census(mutated, P, t) == origin_census(mutated, P, t), (shape, k, h, v, t)
+
+
+def test_census_past_the_guardrail():
+    # L(t) of 9^8 at t = 2 and of 6^5 at t = 4, as pinned by the count
+    # walk's test and by the benchmark.
+    for nu, t, count in (([9] * 8, 2, 118195220), ([6] * 5, 4, 133613766)):
+        shape = SkewShape(Partition(nu), Partition())
+        assert _census(PasmPolytope(shape), build_poset(shape), t) == (count, True, True)
 
 
 @pytest.mark.parametrize("edge", [("H", 3, 2), ("V", 3, 2)], ids=["H(3,2)", "V(3,2)"])

@@ -26,12 +26,20 @@ import pasmpoly.polytope
 from pasmpoly._linalg import rank
 from pasmpoly.equivalences import _census, _corner_image
 from pasmpoly.facelattice import Edge
-from pasmpoly.polytope import DILATE_SIZE_LIMIT
+from pasmpoly.matrices import _corner_rows
+from pasmpoly.polytope import DILATE_SIZE_LIMIT, _within
 from pasmpoly.skewposet import order_polynomial_values
 
 from families import all_skew_shapes, in_three_boxes, staircase
 from golden import RATIONAL_POINT_422_31, VERTICES_422_31
-from points import column_partial_sums, convex_combination, listing_census, narrowed_bounds, row_partial_sums
+from points import (
+    TablePolytope,
+    column_partial_sums,
+    convex_combination,
+    listing_census,
+    narrowed_bounds,
+    row_partial_sums,
+)
 from test_linalg import fraction_convex_combination_exists, fraction_rank
 
 F = Fraction
@@ -482,6 +490,53 @@ def test_count_walk_beyond_the_guardrail():
         for t in range(t_max + 1):
             assert sum(poly._scan(t, 1, lambda count, i, after: count)) == values[t], (nu, t)
     assert values[2] == 118195220
+
+
+def test_count_walk_with_wide_fields():
+    # At t = 40 the column prefix sums of the H bounds of (2,1) reach
+    # 3 * 40 = 120, so each field of a packed key is 7 bits wide.
+    shape = SkewShape(Partition([2, 1]), Partition())
+    poly, P = PasmPolytope(shape), build_poset(shape)
+    omega = order_polynomial_values(P, 41)[40]
+    assert sum(poly._scan(40, 1, lambda count, i, after: count)) == omega
+    assert _census(poly, P, 40) == (omega, True, True)
+
+
+def _table_points(table, m, n, t):
+    """The integer points of the t-dilate of a bound table on an m x n grid,
+    in lexicographic order, with no cell walk: each row's H partial sums run
+    over the product of their ranges, and the grids of the rows they
+    difference to are filtered by _within."""
+    scaled = tuple([t * x for x in xs] for xs in table)
+    lo_h, hi_h = scaled[:2]
+    rows = []
+    for k in range(0, m * n, n):
+        sums = product(*(range(lo_h[c], hi_h[c] + 1) for c in range(k, k + n)))
+        rows.append([tuple(b - a for a, b in pairwise((0,) + h)) for h in sums])
+    return sorted(grid for grid in product(*rows) if _within(scaled, grid))
+
+
+def test_scan_with_negative_corner_sums_matches_the_table_product():
+    # Bounds of -1 put a bias under every field of a packed key.  An H or V
+    # edge of (2,1) widened by one each way keeps every corner sum >= 0, as
+    # the other step's bound at its cell holds it; with both steps of a cell
+    # widened, some points have a corner sum below 0.
+    shape = SkewShape(Partition([2, 1]), Partition())
+    poly, (m, n) = PasmPolytope(shape), (shape.m, shape.n)
+    negative = 0
+    for k in range(m * n):
+        for sides in ((0,), (2,), (0, 2)):
+            widened = [list(xs) for xs in poly._bounds()]
+            for side in sides:
+                widened[side][k] -= 1
+                widened[side + 1][k] += 1
+            walked = TablePolytope(shape, widened)
+            for t in (0, 1, 2):
+                points = _table_points(widened, m, n, t)
+                assert [X.rows for X in walked.dilate_integer_points(t)] == points, (k, sides, t)
+                assert walked.dilate_lattice_points(t).count == len(points)
+                negative += any(min(row) < 0 for grid in points for row in _corner_rows(grid))
+    assert negative
 
 
 def test_guardrails_raise_resource_limit():
