@@ -95,21 +95,23 @@ def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
 
     Each cover a < b of the cell poset P joins b to its west or north
     neighbour; a key breaks it iff b's V (H) step from a can be negative.
-    So only where that step's lower bound in b's (lo_h, hi_h, lo_v, hi_v)
-    is negative does the census probe: b's step with the step's upper bound
-    cut to -1 reaches a key iff a key breaks the cover.  At each row end
-    ``close`` files each key's slice; each must lie in [0, t], no two equal.
+    So the census probes only where that step's lower bound in the dilate's
+    table is negative, nowhere on the paper's table: b's step with its upper
+    bound cut to -1 reaches a key iff a key breaks the cover.  At each row
+    end ``close`` files each key's slice; each must lie in [0, t], no two equal.
 
     count is the number of points.  valid says that no key broke the range
     or a cover, so every point's corner sums on the cells, plus 1, are an
     order-preserving map into {1, ..., t + 1}; distinct, that at every row
     end the slice determines the key, so those maps are distinct.
     """
-    n, lows = poly.n, {}
+    n, table, lows = poly.n, poly._bounds(), {}
     for a, b in P.covers:
         i, c = P.elements[b]
         # The index of the lower bound of b's step from a: lo_v from the west, lo_h from the north.
-        lows.setdefault((i - 1) * n + c - 1, []).append(2 if P.elements[a][0] == i else 0)
+        k, lo = (i - 1) * n + c - 1, 2 if P.elements[a][0] == i else 0
+        if t * table[lo][k] < 0:
+            lows.setdefault(k, []).append(lo)
     cols = [r.cols for r in poly._row_layout()]
     slices: list[list[tuple[int, ...]]] = [[] for _ in cols]
     broken = False
@@ -117,16 +119,15 @@ def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
     def probe(k, bounds, step):
         nonlocal broken
         for lo in lows.get(k, ()):
-            if bounds[lo] < 0 and not broken:
-                cut = list(bounds)
-                cut[lo + 1] = min(cut[lo + 1], -1)
-                broken = bool(step(*cut))
+            cut = list(bounds)
+            cut[lo + 1] = min(cut[lo + 1], -1)
+            broken = broken or bool(step(*cut))
 
     def close(count, i, after):
         slices[i].append(after[cols[i]])
         return count
 
-    count = sum(poly._scan(t, 1, close, probe))
+    count = sum(poly._scan(t, 1, close, probe if lows else None))
     values = list(chain.from_iterable(chain.from_iterable(slices)))
     valid = not broken and (not values or (0 <= min(values) and max(values) <= t))
     return count, valid, all(len(set(row)) == len(row) for row in slices)

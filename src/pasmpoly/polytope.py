@@ -162,9 +162,8 @@ class PasmPolytope:
         is a column prefix sum of H, and those of the H bounds give the bias
         and w.  At the end of row i (0-based), close(payload, i, after)
         extends the payload by the row, with the key decoded into ``after`` =
-        C(i, .).  probe(k, bounds, step), if given, runs before cell k
-        (row-major, 0-based), given its bounds (lo_h, hi_h, lo_v, hi_v) in
-        the dilate; step(*cut) steps the keys through it under bounds cut.
+        C(i, .).  probe(k, bounds, step), if given, runs before cell k (row-major,
+        0-based) with its dilated bounds; step(*cut) steps the keys through it.
         """
         m, n = self.m, self.n
         lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in self._bounds())

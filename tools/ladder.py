@@ -1,7 +1,7 @@
 """Timings of the bench ladder: every CLI subcommand on each ladder shape,
 and the certificate's dilate census at four points past the guardrail.
 
-    python tools/ladder.py [--src NAME=PATH ...] [--rounds R] [--out FILE]
+    python tools/ladder.py [--src NAME=PATH ...] > BENCH_<pr>.json
 
 Each ``--src`` names a source tree (a directory holding the ``pasmpoly``
 package, ``src`` of this checkout by default), and the output files each
@@ -9,7 +9,7 @@ tree's times under its name.  One child interpreter per tree imports its
 package and times, in-process, whichever operation it is sent: best of 3,
 in CPU and wall seconds.  The trees take each operation in turn, the first
 tree alternating from round to round, so a slow spell of a shared host
-falls on both; the output keeps each operation's best over the rounds.
+falls on both; the output keeps each operation's best over 9 rounds.
 ``main()`` calls capture their output; ``check`` and ``phi`` read the
 first vertex of the shape, the latter in a square box.  The census times
 call ``equivalences._census`` directly.  The output is one JSON object; its
@@ -47,6 +47,7 @@ COMMANDS = ("vertices", "check", "dim", "volume", "ehrhart", "face-labeling",
 CENSUS = (((4, 4, 4), 8), ((6,) * 5, 4), ((9,) * 8, 2), ((12,) * 11, 2))
 OPERATIONS = len(LADDER) * len(COMMANDS) + len(CENSUS)
 REPS = 3
+ROUNDS = 9
 
 
 def _label(nu, lam=()) -> str:
@@ -110,8 +111,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", metavar="NAME=PATH",
                         help="a source tree to time (default: change=src of this checkout)")
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--out", metavar="FILE", help="write the JSON here instead of stdout")
     parser.add_argument("--child", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
                 for name, src in trees.items()}
     best: dict[str, list[dict]] = {name: [] for name in trees}
     try:
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for k in range(OPERATIONS):
                 for name in list(trees)[::1 if r % 2 == 0 else -1]:
                     proc = children[name]
@@ -144,17 +143,13 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "method": f"in-process, best of {REPS} per operation and round, best over "
-                  f"{args.rounds} round(s); the trees take each operation in turn; "
+                  f"{ROUNDS} rounds; the trees take each operation in turn; "
                   "CPU and wall seconds",
         "per_layer": "not recorded: per-layer timings of the ladder wait on ROADMAP item 10",
         "trees": {name: {"commands": runs[:-len(CENSUS)], "census": runs[-len(CENSUS):]}
                   for name, runs in best.items()},
     }
-    text = json.dumps(result, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(result, indent=1))
     return 0
 
 
