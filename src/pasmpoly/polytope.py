@@ -27,8 +27,9 @@ to lam, so only the profile rows from k on change.  vertices() builds each
 distinct dense row once, keyed by its two parts; the certificate's round
 trip reads those rows and checks each distinct row step once.  The
 dimension is the sparse rank of the first vertex and the distinct
-differences of consecutive vertices, taken on the changed rows alone: at
-most |nu/lam| of them.
+differences of consecutive vertices, taken on the changed rows alone.  A
+step's difference depends on (k, mu_k) alone, so one is built per key, at
+most |nu/lam| of them, and the walk itself is the remaining cost.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -51,7 +52,7 @@ with t >= 2 pass a guardrail.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain
 from operator import add, le
 from typing import NamedTuple, Sequence
 
@@ -85,10 +86,11 @@ class _RowLayout(NamedTuple):
 class PasmPolytope:
     """H- and V-descriptions of the polytope for one skew shape."""
 
-    __slots__ = ("shape",)
+    __slots__ = ("shape", "_table")
 
     def __init__(self, shape: SkewShape):
         self.shape = shape
+        self._table = None
 
     @property
     def m(self) -> int:
@@ -101,15 +103,19 @@ class PasmPolytope:
     def _bounds(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """The inequality description, in the closed form of the module
         docstring: the bounds (lo_H, hi_H, lo_V, hi_V) on H(i, j) and
-        V(i, j), each list indexed by (i - 1) * n + (j - 1)."""
-        m, n = self.m, self.n
-        lam = [n] + [self.shape.lam.part(i) for i in range(1, m + 1)]
-        nu = [n] + [self.shape.nu.part(i) for i in range(1, m + 1)]
-        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-        return ([int(nu[i] < j <= lam[i - 1]) for i, j in cells],
-                [int(lam[i] < j <= nu[i - 1]) for i, j in cells],
-                [int(lam[i] == nu[i] and j == nu[i] + 1) for i, j in cells],
-                [int(lam[i] < j <= nu[i] + 1) for i, j in cells])
+        V(i, j), each list indexed by (i - 1) * n + (j - 1).  The table is
+        built on the first call and shared by every later one, so no caller
+        may change its lists."""
+        if self._table is None:
+            m, n = self.m, self.n
+            lam = [n] + [self.shape.lam.part(i) for i in range(1, m + 1)]
+            nu = [n] + [self.shape.nu.part(i) for i in range(1, m + 1)]
+            cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+            self._table = ([int(nu[i] < j <= lam[i - 1]) for i, j in cells],
+                           [int(lam[i] < j <= nu[i - 1]) for i, j in cells],
+                           [int(lam[i] == nu[i] and j == nu[i] + 1) for i, j in cells],
+                           [int(lam[i] < j <= nu[i] + 1) for i, j in cells])
+        return self._table
 
     def _row_layout(self) -> list[_RowLayout]:
         """The layout of every row's skew cells, read from the parts of the
@@ -190,10 +196,14 @@ class PasmPolytope:
 
         The rank gets the first vertex and the distinct differences of
         consecutive vertices in walk order, as sparse rows {i * n + j:
-        entry}; they span what the vertices span.  A step that raises part
-        k and resets the later parts to lam changes only the rows from k
-        on, where its difference is taken; it depends only on that part and
-        its old value, so at most |nu/lam| differences are distinct.
+        entry}; they span what the vertices span.  A step raises part k
+        from mu_k and resets the later parts to lam.  Each later part was
+        at its largest, the smaller of its part of nu and the part above,
+        so mu_k fixes them all, and row k changes by -1 at mu_k and +1 at
+        mu_k + 1 whatever the part above it.  So the difference, taken on
+        the rows from k on, depends on (k, mu_k) alone: it is built once
+        per key, the first time the key comes up, and at most |nu/lam| keys
+        do.  What remains is the walk itself, one step per vertex.
         """
         m, n = self.m, self.n
 
@@ -206,14 +216,17 @@ class PasmPolytope:
             return entries
 
         walk = _between(self.shape.lam, self.shape.nu, m)
-        first = next(walk)
-        # A position where two rows differ is in the symmetric difference
-        # of their items, once or, where the entry flips sign, twice.
-        steps = set()
-        for (_, old), (k, mu) in pairwise(chain([first], walk)):
-            a, b = tail(old, k), tail(mu, k)
-            steps.add(frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()]))
-        return rank([tail(first[1], 0), *map(dict, steps)]) - 1
+        _, old = next(walk)
+        first, steps = tail(old, 0), {}
+        for k, mu in walk:
+            if (k, old[k]) not in steps:
+                # A position where two rows differ is in the symmetric
+                # difference of their items, once or, where the entry flips
+                # sign, twice.
+                a, b = tail(old, k), tail(mu, k)
+                steps[k, old[k]] = frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()])
+            old = mu
+        return rank([first, *map(dict, set(steps.values()))]) - 1
 
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.

@@ -392,6 +392,16 @@ def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists(monkeypatch):
     assert V in verts and V not in kept
 
 
+def test_the_bound_table_is_built_once_per_polytope():
+    # Every reader gets the table of the first call; a new polytope of the
+    # same shape builds an equal one.
+    poly = example_polytope()
+    table = poly._bounds()
+    certify_integral_equivalence(poly, 4)
+    assert poly._bounds() is table
+    assert example_polytope()._bounds() == table
+
+
 def _brute_interval(lam: Partition, nu: Partition) -> list[Partition]:
     """The partitions between lam and nu, as the weakly decreasing tuples of
     the product of the part ranges [lam_k, nu_k], in the product's
@@ -583,6 +593,70 @@ def test_dimension_ranks_the_first_row_and_the_distinct_steps(monkeypatch):
         dim = poly.dimension()
         assert len(calls) == 1 and calls[0] <= shape.size + 1, shape
         assert dim == rank([V.flatten() for V in poly.vertices()]) - 1, shape
+
+
+def _walk_steps(shape: SkewShape) -> tuple[list, list]:
+    """The first vertex of the walk of [lam, nu], flattened, and each step's
+    ((k, mu_k), difference): k is the first 0-based part that the step
+    changed, mu_k that part before the step, and the difference of the two
+    vertices, built by vertex_matrix, is the frozenset of its nonzero
+    (flat index, entry) items."""
+    m, n = shape.m, shape.n
+    mus = [tuple(mu.part(i) for i in range(1, m + 1)) for mu in enumerate_between(shape.lam, shape.nu)]
+    flats = [vertex_matrix(Partition(mu), m, n).flatten() for mu in mus]
+    steps = []
+    for (old, a), (mu, b) in pairwise(zip(mus, flats)):
+        k = next(i for i, (x, y) in enumerate(zip(old, mu)) if x != y)
+        steps.append(((k, old[k]), frozenset((p, y - x) for p, (x, y) in enumerate(zip(a, b)) if x != y)))
+    return flats[0], steps
+
+
+def _assert_one_difference_per_key(shape: SkewShape) -> None:
+    # Two steps with the same (k, mu_k) have the same difference, and the
+    # rows dimension() ranks are the first vertex and, keyed by (k, mu_k),
+    # exactly the value-deduped set of all consecutive differences, one per
+    # key.
+    first, steps = _walk_steps(shape)
+    by_key = {}
+    for key, diff in steps:
+        assert by_key.setdefault(key, diff) == diff, (shape, key)
+    ranked = []
+
+    def spy(rows):
+        ranked.extend(rows)
+        return rank(ranked)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pasmpoly.polytope, "rank", spy)
+        assert PasmPolytope(shape).dimension() == shape.size
+    assert ranked[0] == {p: x for p, x in enumerate(first) if x}, shape
+    assert len(ranked) - 1 == len(by_key), shape
+    assert {frozenset(row.items()) for row in ranked[1:]} == set(by_key.values()) == {d for _, d in steps}, shape
+
+
+def test_dimension_builds_one_difference_per_part_and_old_value():
+    for shape in chain.from_iterable(map(in_three_boxes, all_skew_shapes(7))):
+        _assert_one_difference_per_key(shape)
+
+
+@given(boxed_skew_shapes(rows=5, cols=6, max_size=30))
+def test_dimension_builds_one_difference_per_part_and_old_value_boxed(shape):
+    _assert_one_difference_per_key(shape)
+
+
+def test_a_difference_keyed_by_its_part_alone_misses_the_dimension():
+    # A key without the old value keeps one difference per part, the
+    # first: on (2), part 1 steps 0 -> 1 -> 2, and the one difference kept
+    # gives dimension 1, not 2.
+    short = []
+    for shape in all_skew_shapes(7):
+        first, steps = _walk_steps(shape)
+        by_part = {}
+        for (k, _), diff in steps:
+            by_part.setdefault(k, diff)
+        if rank([first, *map(dict, by_part.values())]) - 1 != shape.size:
+            short.append(shape)
+    assert SkewShape(Partition([2]), Partition()) in short
 
 
 def test_is_extreme():

@@ -1,5 +1,6 @@
 """Timings of the bench ladder: every CLI subcommand on each ladder shape,
-and the certificate's dilate census at four points past the guardrail.
+``dim`` at four frontier shapes, and the certificate's dilate census at
+four points past the guardrail.
 
     python tools/ladder.py [--src NAME=PATH ...] > BENCH_<pr>.json
 
@@ -11,9 +12,11 @@ in CPU and wall seconds.  The trees take each operation in turn, the first
 tree alternating from round to round, so a slow spell of a shared host
 falls on both; the output keeps each operation's best over 9 rounds.
 ``main()`` calls capture their output; ``check`` and ``phi`` read the
-first vertex of the shape, the latter in a square box.  The census times
-call ``equivalences._census`` directly.  The output is one JSON object; its
-``machine`` entry names where it ran.  Standard library only.
+first vertex of the shape, the latter in a square box.  A ladder command's
+result is its exit code, a frontier ``dim``'s the dimension it prints.  The
+census times call ``equivalences._census`` directly.  The output is one
+JSON object; its ``machine`` entry names where it ran.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ LADDER = (
 )
 COMMANDS = ("vertices", "check", "dim", "volume", "ehrhart", "face-labeling",
             "flow-graph", "phi", "certify")
+# nu: dim on the frontier shapes 10^9, 11^10, 60^4 and 200^3.
+DIM = ((10,) * 9, (11,) * 10, (60,) * 4, (200,) * 3)
 # (nu, t): the census of the t-th dilate of nu, beyond the dilate guardrail.
 CENSUS = (((4, 4, 4), 8), ((6,) * 5, 4), ((9,) * 8, 2), ((12,) * 11, 2))
-OPERATIONS = len(LADDER) * len(COMMANDS) + len(CENSUS)
+OPERATIONS = len(LADDER) * len(COMMANDS) + len(DIM) + len(CENSUS)
 REPS = 3
 ROUNDS = 9
 
@@ -56,7 +61,8 @@ def _label(nu, lam=()) -> str:
 
 def _operations(src: str, tmp: str) -> list[tuple[dict, object]]:
     """Each operation as (its record, a call that runs it once and returns
-    the exit code or the census), on the package found in src."""
+    the exit code, the dimension or the census), on the package found in
+    src."""
     sys.path.insert(0, src)
     from pasmpoly import Partition, PasmPolytope, SkewShape, build_poset, cli
     from pasmpoly.equivalences import _census
@@ -64,6 +70,12 @@ def _operations(src: str, tmp: str) -> list[tuple[dict, object]]:
     def run(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return cli.main(argv)
+
+    def dim(nu):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["dim", "--nu", ",".join(map(str, nu))])
+        return int(out.getvalue())
 
     ops = []
     for nu, lam in LADDER:
@@ -84,6 +96,8 @@ def _operations(src: str, tmp: str) -> list[tuple[dict, object]]:
             shown = " ".join(a if a not in paths.values() else "VERTEX.json" for a in argv)
             ops.append(({"shape": _label(nu, lam), "d": shape.size, "command": command, "argv": shown},
                         lambda argv=argv: run(argv)))
+    for nu in DIM:
+        ops.append(({"shape": _label(nu), "d": sum(nu), "command": "dim"}, lambda nu=nu: dim(nu)))
     for nu, t in CENSUS:
         shape = SkewShape(Partition(nu), Partition())
         poly, P = PasmPolytope(shape), build_poset(shape)
@@ -146,7 +160,9 @@ def main(argv=None) -> int:
                   f"{ROUNDS} rounds; the trees take each operation in turn; "
                   "CPU and wall seconds",
         "per_layer": "not recorded: per-layer timings of the ladder wait on ROADMAP item 10",
-        "trees": {name: {"commands": runs[:-len(CENSUS)], "census": runs[-len(CENSUS):]}
+        "trees": {name: {"commands": runs[:-len(DIM) - len(CENSUS)],
+                         "dim": runs[-len(DIM) - len(CENSUS):-len(CENSUS)],
+                         "census": runs[-len(CENSUS):]}
                   for name, runs in best.items()},
     }
     print(json.dumps(result, indent=1))
