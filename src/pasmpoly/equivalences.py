@@ -6,9 +6,10 @@ The corner-sum map sends a polytope point to the restriction of its
 northwest corner sums to the skew cells.  On the polytope, corner sums are
 pinned to 0 on the lam region and to 1 everywhere east of the shape, which
 is what makes the map invertible.  The certificate checks the equivalence
-by the round trip through these two maps on every vertex, and by exact
-bijections of the vertices and of the integer points of small dilates onto
-order-preserving maps; it uses no randomness.  Both loops work per row.
+by the round trip through these two maps on every vertex, and by counts:
+the integer points of each small dilate, and at t = 1 the vertices, are as
+many as the order-preserving maps, into which the points inject.  It uses
+no randomness.  Both loops work per row.
 The vertex round trip takes one grid row at a time, under the column sums
 of the rows above it: the row's bounds, its corner-sum row and the inverse
 under the completed corner-sum row above.  Vertices share their row steps,
@@ -16,8 +17,8 @@ so each distinct step is checked once.  A dilate is checked by a census of
 the scan's count walk: each cover of the cell poset is checked at the cell
 that ends it, and at the end of each row each key's slice on the cells is
 checked once against [0, t] and the other slices, for all the points
-through it.  The points are counted, not listed; they are listed, by
-dilate_integer_points, only to name a counterexample.  The
+through it.  The points and the maps are counted, not listed; they are
+listed only to name a counterexample.  The
 vertex round trip reads the bound lists and the shape's row layout once per
 certificate.
 """
@@ -139,7 +140,7 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
 
     Every comparison is of value tuples over the skew cells in row-major
     order: corner sums of points against order-preserving maps of the cell
-    poset, enumerated once for each t.  Checks, all exact:
+    poset, counted once for each t.  Checks, all exact:
 
     * every vertex V of ``poly.vertices()`` survives the round trip
       ``from_order_point(to_order_point(V)) == V``: V is within the
@@ -151,18 +152,18 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       the row.  Both maps are affine and the vertices span the affine hull,
       so the corner-sum map is injective on the hull with an integral
       affine inverse;
-    * the vertex images, lifted by 1, are distinct and are exactly the
-      order-preserving maps into {1, 2}, the filter indicators plus 1.  This
-      puts every image in the order polytope, so an image outside it fails
-      here, not the round trip;
+    * the vertices are distinct, their rows all ints, and as many as the
+      order-preserving maps into {1, 2}.  The round trip puts them among
+      the integer points of the t = 1 dilate, so once the census finds as
+      many points as maps, the vertices are exactly those points;
     * for each t <= t_max, the integer points of the t-th dilate biject
       onto the order-preserving maps into {1, ..., t + 1}, their images
       lifted by 1.  The census of :func:`_census` proves that the images
       are such maps and that the points inject into them, so the points
       biject onto the maps iff they are as many.  Only when an image is
-      not such a map is ``poly.dilate_integer_points(t)`` listed, and its
-      first matrix whose lifted image is not a map is the counterexample,
-      or the dilate alone if there is none.
+      not such a map are the maps and ``poly.dilate_integer_points(t)``
+      listed; the first matrix whose lifted image is not a map is the
+      counterexample, or the dilate alone if there is none.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail, which also checks its type, runs before any other work; it
@@ -188,14 +189,14 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     def order_maps(t: int) -> Iterator[tuple[int, ...]]:
         """The order-preserving maps of P into {1, ..., t + 1}: each is one
         more than the corner sums of the point of the t-th dilate it
-        matches, so the vertex images are lifted by 1 too."""
+        matches."""
         return enumerate_order_preserving_maps(P, t + 1)
 
     # Round trip of every vertex, one row step at a time.  A step depends
     # only on its row index, the column sums above it and the row: the
     # completed corner-sum row above is a function of those sums.  It gives
-    # the column sums through the row, its completed corner-sum row and its
-    # lifted slice; a failed step is ().
+    # the column sums through the row and its completed corner-sum row; a
+    # failed step is ().
     n, layout = poly.n, poly._row_layout()
     bounds = _row_bounds(poly._bounds(), n)
     steps: dict = {}
@@ -205,17 +206,15 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         if sums is None:
             return ()
         r = layout[i]
-        cells = tuple(accumulate(sums))[r.cols]
-        corner = r.zeros + cells + r.ones
+        corner = r.zeros + tuple(accumulate(sums))[r.cols] + r.ones
         if _inverse_corner_row(corner, completed) != row:
             return ()
-        return sums, corner, tuple([c + 1 for c in cells])
+        return sums, corner
 
     zeros = (0,) * n
-    lifted = []
-    for V in poly.vertices():
+    vertices = poly.vertices()
+    for V in vertices:
         above = completed = zeros
-        image: tuple[int, ...] = ()
         for i, row in enumerate(V.rows):
             key = (i, above, row)
             done = steps.get(key)
@@ -223,29 +222,24 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
                 done = steps[key] = step(i, above, completed, row)
             if not done:
                 return fail("affine_unimodular", {"vertex": V.to_json_dict()})
-            above, completed, cells = done
-            image += cells
-        lifted.append(image)
+            above, completed = done
 
-    filters = set(order_maps(1))
-    distinct = set(lifted)
-    if len(distinct) != len(lifted) or distinct != filters:
-        return fail("vertex_bijection",
-                    {"images": sorted(tuple(v - 1 for v in image) for image in distinct)})
-
-    # The census counts the points and checks their images; the
-    # maps are counted, and listed as a set only at t = 1 and to name the
-    # first point whose image is not a map.
+    # The census counts the points and checks their images; the maps are
+    # counted, and listed only to name the first point whose image is not
+    # a map.  At t = 1 the vertices must first be as many as the maps.
     ones = (1,) * len(P)
     for t in range(1, t_max + 1):
+        total = sum(1 for _ in order_maps(t))
+        if t == 1 and not (len(set(vertices)) == len(vertices) == total
+                           and all(isinstance(x, int) for _, _, row in steps for x in row)):
+            return fail("vertex_bijection", {"vertices": len(vertices), "maps": total})
         count, valid, injective = _census(poly, P, t)
         if not valid:
-            maps = filters if t == 1 else set(order_maps(t))
+            maps = set(order_maps(t))
             bad = next((X for X in poly.dilate_integer_points(t)
                         if tuple(map(add, _corner_image(X.rows, layout), ones)) not in maps), None)
             return fail("vertex_bijection",
                         {"dilate": t} if bad is None else {"dilate": t, "point": bad.to_json_dict()})
-        total = len(filters) if t == 1 else sum(1 for _ in order_maps(t))
         report["dilate_counts"].append([t, count, total])
         if not injective or count != total:
             return fail("vertex_bijection", {"dilate": t})

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import chain, product
 
@@ -468,9 +469,17 @@ def test_a_passing_certificate_never_lists_the_rows(monkeypatch):
 
 
 def test_certificate_catches_a_dropped_or_repeated_vertex(monkeypatch):
-    # The vertex images must be the filter indicators, each exactly once.
+    # The vertices must be distinct integer points, as many as the filters.
+    # A copy of vertex 1, or the midpoint of vertices 0 and 1, in place of
+    # vertex 0 keeps the count at 10 and passes the round trip.
+    def midpoint(verts):
+        a, b = verts[0].rows, verts[1].rows
+        mid = Matrix([[Fraction(x + y, 2) for x, y in zip(r, s)] for r, s in zip(a, b)])
+        return [mid] + verts[1:]
+
     real = PasmPolytope.vertices
-    for corrupt in (lambda verts: verts[1:], lambda verts: verts + verts[:1]):
+    for corrupt in (lambda verts: verts[1:], lambda verts: verts + verts[:1],
+                    lambda verts: verts[1:2] + verts[1:], midpoint):
         monkeypatch.setattr(PasmPolytope, "vertices",
                             lambda self, corrupt=corrupt: corrupt(real(self)))
         report = certify_integral_equivalence(example_polytope(), 1)
@@ -564,6 +573,22 @@ def test_certificate_at_t_one_runs_beyond_eight_cells():
         report = certify_integral_equivalence(poly, 1)
         assert certificate_passes(report)
         assert report["dilate_counts"] == [[1, len(poly.vertices()), len(poly.vertices())]]
+
+
+def test_certificate_at_t_one_builds_no_set_of_the_maps():
+    # 9^8 has 24 310 vertices and as many maps into {1, 2}.  The maps are
+    # counted, not held, so the traced peak stays under 16 MB; a set of
+    # the maps and of the vertex images peaks at about 34 MB.
+    poly = PasmPolytope(SkewShape(Partition([9] * 8), Partition()))
+    tracemalloc.start()
+    try:
+        report = certify_integral_equivalence(poly, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["dilate_counts"] == [[1, 24310, 24310]]
+    assert certificate_passes(report)
+    assert peak < 16 * 2**20, peak
 
 
 def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
