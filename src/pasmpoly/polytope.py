@@ -24,8 +24,8 @@ line sums.
 The vertices come from shapes._between, the walk of [lam, nu] behind
 enumerate_between: a step raises one part mu_k and resets the later parts
 to lam, so only the profile rows from k on change.  vertices() builds each
-distinct dense row once, keyed by its two parts; the certificate's round
-trip reads those rows and checks each distinct row step once.  The
+distinct row once, keyed by its two parts (_profile_row); the certificate
+checks each pair once per row, as an edge of its row-pair graph.  The
 dimension is the sparse rank of the first vertex and the distinct
 differences of consecutive vertices, taken on the changed rows alone.  A
 step's difference depends on (k, mu_k) alone, so one is built per key, at
@@ -144,16 +144,13 @@ class PasmPolytope:
         up only the rows from k on.
         """
         m, n, cache = self.m, self.n, {}
-
-        def dense(a: int, b: int) -> tuple[int, ...]:
-            cache[a, b] = row = tuple([(j == b) - (j == a) for j in range(n)])
-            return row
-
         verts, rows = [], []
         for k, mu in _between(self.shape.lam, self.shape.nu, m):
             del rows[k:]
             for pair in zip(chain((mu[k - 1] if k else n,), mu[k:]), mu[k:]):
-                rows.append(cache[pair] if pair in cache else dense(*pair))
+                if pair not in cache:
+                    cache[pair] = _profile_row(*pair, n)
+                rows.append(cache[pair])
             verts.append(Matrix._of_ints(rows))
         return verts
 
@@ -239,9 +236,9 @@ class PasmPolytope:
         (j + 1)(n - j) keys; before a suffix of ones, values in {0, 1, 2},
         at most (j + 1)(j + 2)/2 keys.  So every cell holds at most
         (n + 1)(n + 2)/2 keys.  Its points are the vertices, which
-        vertices(), dim and the certificate's round trip already list with
-        no guard.  At t = 0 the scan yields one point.  A t that is not an
-        int, a bool among them, raises TypeError.
+        vertices() and dim already walk with no guard.  At t = 0 the scan
+        yields one point.  A t that is not an int, a bool among them,
+        raises TypeError.
         """
         if isinstance(t, bool) or not isinstance(t, int):
             raise TypeError(f"dilation factor must be an int, got {type(t).__name__}")
@@ -293,6 +290,13 @@ def _cell(keys: dict, s: int, w: int, mask: int, lo_h: int, hi_h: int, lo_v: int
         for after in range(lo, hi, step):
             reached[after] = reached[after] + payload if after in reached else payload
     return reached
+
+
+def _profile_row(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The profile row fixed by the parts (a, b) = (mu_i, mu_{i+1}), with
+    mu_0 = n: 1 at column b and -1 at column a, 0-based, when a > b; a = n
+    puts the -1 outside the row."""
+    return tuple([(j == b) - (j == a) for j in range(n)])
 
 
 def _row_bounds(bounds: tuple[list[int], ...], n: int) -> list[tuple[list[int], ...]]:

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -404,20 +404,25 @@ def test_a_cell_walk_that_drops_one_successor_fails_the_census(monkeypatch):
     assert not certificate_passes(report)
 
 
-def test_the_round_trip_memo_reads_the_sums_above_the_row(monkeypatch):
+def test_the_round_trip_reads_the_sums_above_the_row(monkeypatch):
     # B shares its rows from 3 on with the vertex A, under the column sums
-    # of another vertex X, and breaks V(3, 2).  A memo keyed by the row
-    # alone would pass B on A's steps.
+    # of another vertex X, and breaks V(3, 2).  Giving the edge (2, 2, 0) of
+    # the row-pair graph A's row there checks B's rows along X's path; a
+    # step that read the row alone would pass it as it passes A's.  The
+    # failed edge names X, the least vertex through it.
     poly = example_polytope()
     verts = poly.vertices()
     A, X = verts[0], verts[2]
     B = Matrix(X.rows[:2] + A.rows[2:])
     assert [sum(col) for col in zip(*A.rows[:2])] != [sum(col) for col in zip(*X.rows[:2])]
     assert not poly.satisfies_inequalities(B)
-    monkeypatch.setattr(PasmPolytope, "vertices", lambda self: [A, B])
+    real = equivalences._profile_row
+    assert (real(2, 0, 5), real(1, 0, 5)) == (X.rows[2], A.rows[2])
+    monkeypatch.setattr(equivalences, "_profile_row",
+                        lambda a, b, n: real(1, 0, n) if (a, b) == (2, 0) else real(a, b, n))
     report = certify_integral_equivalence(poly, 1)
     assert report["affine_unimodular"] is False
-    assert report["counterexample"] == {"vertex": B.to_json_dict()}
+    assert report["counterexample"] == {"vertex": X.to_json_dict()}
     assert not certificate_passes(report)
 
 
@@ -469,23 +474,18 @@ def test_a_passing_certificate_never_lists_the_rows(monkeypatch):
 
 
 def test_certificate_catches_a_dropped_or_repeated_vertex(monkeypatch):
-    # The vertices must be distinct integer points, as many as the filters.
-    # A copy of vertex 1, or the midpoint of vertices 0 and 1, in place of
-    # vertex 0 keeps the count at 10 and passes the round trip.
-    def midpoint(verts):
-        a, b = verts[0].rows, verts[1].rows
-        mid = Matrix([[Fraction(x + y, 2) for x, y in zip(r, s)] for r, s in zip(a, b)])
-        return [mid] + verts[1:]
-
-    real = PasmPolytope.vertices
-    for corrupt in (lambda verts: verts[1:], lambda verts: verts + verts[:1],
-                    lambda verts: verts[1:2] + verts[1:], midpoint):
-        monkeypatch.setattr(PasmPolytope, "vertices",
-                            lambda self, corrupt=corrupt: corrupt(real(self)))
+    # The paths of the row-pair graph must be as many as the maps into
+    # {1, 2}.  One map more than the 10 vertices stands for a dropped
+    # vertex, one fewer for a repeated one; the round trip still passes.
+    real = equivalences.enumerate_order_preserving_maps
+    for corrupt in (lambda maps: maps + maps[:1], lambda maps: maps[1:]):
+        monkeypatch.setattr(equivalences, "enumerate_order_preserving_maps",
+                            lambda P, t, corrupt=corrupt: corrupt(list(real(P, t))) if t == 2 else real(P, t))
         report = certify_integral_equivalence(example_polytope(), 1)
         assert report["affine_unimodular"] is True
         assert report["vertex_bijection"] is False
         assert report["dilate_counts"] == []
+        assert report["counterexample"] == {"vertices": 10, "maps": len(corrupt(list(range(10))))}
         assert not certificate_passes(report)
 
 
@@ -591,6 +591,31 @@ def test_certificate_at_t_one_builds_no_set_of_the_maps():
     assert peak < 16 * 2**20, peak
 
 
+def test_certificate_at_t_one_lists_no_vertex():
+    # 10^9 has 92 378 vertices.  The round trip walks the 550 edges of the
+    # row-pair graph, so the traced peak stays under 2 MB; listing the
+    # vertices as matrices, and a set of them, peaks at 22.6 MB.
+    poly = PasmPolytope(SkewShape(Partition([10] * 9), Partition()))
+    tracemalloc.start()
+    try:
+        report = certify_integral_equivalence(poly, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["dilate_counts"] == [[1, 92378, 92378]]
+    assert certificate_passes(report)
+    assert peak < 2 * 2**20, peak
+
+
+def test_the_row_pair_graph_has_one_path_per_vertex():
+    # At t = 1 the paths, the census points and the maps are all L(1), the
+    # number of vertices() listed.
+    for shape in chain.from_iterable(map(in_three_boxes, all_skew_shapes(7))):
+        poly = PasmPolytope(shape)
+        L = len(poly.vertices())
+        assert certify_integral_equivalence(poly, 1)["dilate_counts"] == [[1, L, L]], shape
+
+
 def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
     # On (4,2,2)/(3,1) the entry (2, 5) is -H(2, 4), so pinning H(2, 4) to 0
     # cuts off the vertices with a nonzero entry there.
@@ -606,18 +631,23 @@ def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
     assert not certificate_passes(report)
 
 
-def test_certificate_fails_when_any_two_valued_bound_is_narrowed(monkeypatch):
+def test_certificate_fails_when_any_two_valued_bound_is_narrowed():
     # Every {0, 1} edge of the face labeling takes both values on the
-    # vertices, so pinning it to either value cuts off a vertex.
+    # vertices, so pinning it, or two of them, to either value cuts off a
+    # vertex.  The counterexample is the first vertex cut off in walk
+    # order, whichever rows of the row-pair graph hold the failed edges.
     poly = example_polytope()
     two_valued = [edge for edge, labels in face_labeling(poly).items() if len(labels) > 1]
     assert len(two_valued) == 14
-    pins = [(edge, value, narrowed_bounds(poly, edge, value, value))
-            for edge in two_valued for value in (0, 1)]
-    for edge, value, narrowed in pins:
-        monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
-        report = certify_integral_equivalence(poly, 2)
-        assert report["affine_unimodular"] is False, (edge, value)
+    pins = list(product(two_valued, (0, 1)))
+    for chosen in chain(((pin,) for pin in pins), combinations(pins, 2)):
+        mutated = poly
+        for edge, value in chosen:
+            mutated = TablePolytope(EXAMPLE, narrowed_bounds(mutated, edge, value, value))
+        report = certify_integral_equivalence(mutated, 2)
+        assert report["affine_unimodular"] is False, chosen
+        first = next(V for V in poly.vertices() if not mutated.satisfies_inequalities(V))
+        assert report["counterexample"] == {"vertex": first.to_json_dict()}, chosen
         assert not certificate_passes(report)
 
 
