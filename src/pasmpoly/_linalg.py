@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank and convex-combination feasibility.
+"""Exact linear algebra: rank, determinant and convex-combination feasibility.
 
 Inputs may be ``int`` or ``fractions.Fraction``.  Each row is scaled by the
 lcm of its denominators, which changes neither the rank nor the solution set
@@ -24,9 +24,11 @@ the back-reduction of each basis row that holds it is the same one-pass
 step with that one pivot.  The scale, an lcm, is positive, so a basis row
 keeps the sign of its pivot entry.
 
-The phase-1 simplex is fraction-free in the sense of Bareiss (Math. Comp.
-22, 1968): every tableau entry is an integer minor of the scaled input, so
-each division by the previous pivot is exact.
+``det`` and the phase-1 simplex are fraction-free in the sense of Bareiss
+(Math. Comp. 22, 1968): every entry they hold is an integer minor of the
+input, so each division by the previous pivot is exact.  ``det`` takes a
+square int matrix; the counting formulas of ``skewposet`` (Aitken's e(P)
+and the Gessel-Viennot order polynomial) are its callers.
 """
 
 from __future__ import annotations
@@ -92,6 +94,36 @@ def _reduced_basis(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
 def rank(rows: Iterable[Row]) -> int:
     """Rank of the row span, by sparse Gauss-Jordan elimination."""
     return len(_reduced_basis(rows))
+
+
+def det(M: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix, by Bareiss elimination.
+
+    After step k each entry below row k is a (k + 1) x (k + 1) minor, so the
+    division by the previous pivot is exact.  A zero pivot is swapped with
+    the first row below it that is nonzero in its column, which flips the
+    sign; when there is none the matrix is singular.  The 0 x 0 matrix has
+    determinant 1.
+    """
+    a = [list(row) for row in M]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("det needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        prow = a[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+    return sign * a[-1][-1] if n else 1
 
 
 def _phase1_simplex(tab: list[list[int]]) -> bool:

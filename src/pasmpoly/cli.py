@@ -20,12 +20,7 @@ from .hooklength import naruse_count
 from .matrices import Matrix, _pretty
 from .polytope import PasmPolytope, ResourceLimit
 from .shapes import Partition, SkewShape
-from .skewposet import (
-    build_poset,
-    count_linear_extensions,
-    interpolate_polynomial,
-    order_polynomial_values,
-)
+from .skewposet import _aitken_count, _gessel_viennot_values, build_poset, interpolate_polynomial
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -109,11 +104,12 @@ def _cmd_dim(args) -> int:
 
 def _cmd_volume(args) -> int:
     shape = _shape_from_args(args)
-    by_extensions = count_linear_extensions(build_poset(shape))
     try:
+        by_extensions = _aitken_count(shape.nu, shape.lam)
         by_hooks = naruse_count(shape.nu, shape.lam)
     except ArithmeticError as exc:
-        # The hook sum was not an integer: the two methods cannot agree.
+        # Aitken's count or the hook sum was not an integer: the two
+        # methods cannot agree.
         print(f"error: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE
     if args.format == "json":
@@ -128,10 +124,10 @@ def _cmd_volume(args) -> int:
 
 def _cmd_ehrhart(args) -> int:
     shape = _shape_from_args(args)
-    P = build_poset(shape)
     t_max = _tmax(args, shape.size, least=0)
     # L(t) = Omega(P, t + 1); the polynomial needs L(0..|P|).
-    counts = list(enumerate(order_polynomial_values(P, max(t_max, shape.size) + 1)))
+    counts = list(enumerate(_gessel_viennot_values(shape.nu, shape.lam,
+                                                   max(t_max, shape.size) + 1)))
     values = counts[:t_max + 1]
     ehrhart = interpolate_polynomial(counts[:shape.size + 1])
     if args.format == "json":

@@ -3,17 +3,26 @@
 Cells (i, j) are ordered componentwise: (i, j) <= (i', j') iff i <= i' and
 j <= j'.  Elements are kept in row-major order, which is itself a linear
 extension; that fact is exploited throughout.
+
+The linear extensions e(P) and the order polynomial Omega(P, t) are counted
+two ways.  ``count_linear_extensions`` and ``order_polynomial_values`` walk
+the lattice J(P) of order ideals, whose size is L(1), so their cost grows
+with the lattice.  ``_aitken_count`` and ``_gessel_viennot_values`` read
+the same numbers off one determinant of side l(nu) from the parts of nu and
+lam, in time polynomial in the shape; the CLI counts by them, and the
+tests pin them to the lattice walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import lcm
+from math import comb, factorial, lcm, perm, prod
 from typing import Iterator, Mapping, Sequence
 
+from ._linalg import det
 from .matrices import Scalar, _exact
-from .shapes import Cell, SkewShape, _int
+from .shapes import Cell, Partition, SkewShape, _int
 
 
 class SkewPoset:
@@ -317,6 +326,52 @@ def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:
                 g[i] += g[j]
         values.append(g[-1])
     return values
+
+
+def _aitken_count(nu: Partition, lam: Partition) -> int:
+    """e(P) of the nu/lam cell poset, by Aitken's determinant
+
+        e(P) = d! det[1 / (nu_i - lam_j - i + j)!]_{i, j <= l(nu)},
+
+    with 1/k! = 0 for k < 0 (Stanley, EC2 Cor. 7.16.3).  Row i is scaled
+    by (nu_i + l - i)!, which makes its entries the falling factorials
+    perm(nu_i + l - i, lam_j + l - j), all ints; d! det is then divided by
+    the product of the scales.  Raises ArithmeticError if that leaves a
+    remainder.
+    """
+    ell = len(nu)
+    tops = [nu.part(i) + ell - i for i in range(1, ell + 1)]
+    lows = [lam.part(j) + ell - j for j in range(1, ell + 1)]
+    numerator = factorial(nu.size - lam.size) * det([[perm(a, b) for b in lows] for a in tops])
+    denominator = prod(map(factorial, tops))
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"Aitken determinant produced non-integer {numerator}/{denominator}")
+    return quotient
+
+
+def _gessel_viennot_values(nu: Partition, lam: Partition, t_max: int) -> list[int]:
+    """[Omega(P, 1), ..., Omega(P, t_max)] of the nu/lam cell poset, one
+    determinant each (Gessel-Viennot 1989):
+
+        Omega(P, t) = det[h_{nu_i - lam_j - i + j}(t + i - j)]_{i, j <= l(nu)}.
+
+    f -> f(i, j) + i turns the maps into {1, ..., t} into fillings strict
+    down the columns whose row i takes values in {i + 1, ..., i + t}, and
+    those are counted by nonintersecting lattice paths.  h_k(N) =
+    C(N + k - 1, k) counts the multisets of k values out of N: h_0 = 1,
+    and h_k = 0 for k < 0 or N + k - 1 < 0.
+    """
+    ell = len(nu)
+
+    def h(k: int, N: int) -> int:
+        if k == 0:
+            return 1
+        return comb(N + k - 1, k) if k > 0 and N + k - 1 >= 0 else 0
+
+    return [det([[h(nu.part(i) - lam.part(j) - i + j, t + i - j) for j in range(1, ell + 1)]
+                 for i in range(1, ell + 1)])
+            for t in range(1, t_max + 1)]
 
 
 def order_polynomial_value(P: SkewPoset, t: int) -> int:

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import pasmpoly.cli
 import pasmpoly.hooklength
 from pasmpoly import (
     Matrix,
@@ -101,6 +102,19 @@ def test_volume_reports_non_integral_hook_sum(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: hook sum produced non-integer")
+
+
+def test_volume_reports_methods_that_disagree(capsys, monkeypatch):
+    # Aitken's count is 2 on (2,1); one more than that must be printed
+    # beside the hook sum and fail the command.
+    monkeypatch.setattr(pasmpoly.cli, "_aitken_count", lambda nu, lam: 3)
+    code, out = run(capsys, "volume", "--nu", "2,1")
+    assert code == 1
+    assert out == ("normalized volume by linear extensions: 3\n"
+                   "normalized volume by hook-length formula: 2\n")
+    code, out = run(capsys, "volume", "--nu", "2,1", "--format", "json")
+    assert code == 1
+    assert out == '{"linear_extensions": 3, "hook_formula": 2, "agree": false}\n'
 
 
 def test_dim(capsys):

@@ -11,6 +11,7 @@ from pasmpoly._linalg import (
     _integer_row,
     _reduced_basis,
     convex_combination_exists,
+    det,
     rank,
 )
 
@@ -238,6 +239,40 @@ def test_rank_matches_sympy(rows):
     ncols = len(rows[0]) if rows else 0
     expected = sympy.Matrix(len(rows), ncols, [sympy.Rational(x) for r in rows for x in r]).rank()
     assert rank(rows) == expected
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Random square int matrices up to 6 x 6, often with a repeated or
+    combined row, or a zero leading entry, so that singular matrices and
+    row swaps are common."""
+    n = draw(st.integers(0, 6))
+    entries = small_ints | st.integers(-10**6, 10**6)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(small_ints), draw(small_ints)
+        rows[draw(st.integers(0, n - 1))] = [s * x + t * y for x, y in zip(u, v)]
+    if n and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@settings(deadline=None)  # the first example imports sympy
+@given(square_int_matrices())
+@example([])
+@example([[0, 1], [1, 0]])  # a zero leading pivot forces a swap
+@example([[0, 2, 1], [0, 1, 5], [3, 4, 4]])  # two swaps in a row
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular: no pivot in column 2
+@example([[0, 0], [0, 7]])  # singular: no pivot in column 1
+def test_det_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    assert det(rows) == sympy.Matrix(len(rows), len(rows), [x for r in rows for x in r]).det()
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2]])
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import inspect
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -17,8 +17,11 @@ from pasmpoly import (
     interpolate_polynomial,
     order_polynomial_value,
 )
+from pasmpoly._linalg import det
 from pasmpoly.skewposet import (
     SkewPoset,
+    _aitken_count,
+    _gessel_viennot_values,
     _ideal_lattice,
     _ideals_with_maxima,
     _lower_cover_offsets,
@@ -27,7 +30,7 @@ from pasmpoly.skewposet import (
     order_polynomial_values,
 )
 
-from families import all_skew_shapes
+from families import all_skew_shapes, staircase
 from golden import ORDER_POINT_422_31
 from points import filter_indicator
 
@@ -517,6 +520,58 @@ def test_order_polynomial_closed_form_on_chain():
     poly = order_polynomial(chain)
     assert [poly(t) for t in (1, 2, 3, 4)] == [1, 4, 10, 20]
     assert poly.leading_coefficient == F(1, factorial(3))
+
+
+def test_gessel_viennot_matches_the_zeta_passes():
+    for shape in all_skew_shapes(8):
+        P = build_poset(shape)
+        assert (_gessel_viennot_values(shape.nu, shape.lam, len(P) + 1)
+                == order_polynomial_values(P, len(P) + 1)), shape
+    assert _gessel_viennot_values(Partition([2, 1]), Partition(), 0) == []
+
+
+def test_aitken_matches_the_chain_count():
+    for shape in all_skew_shapes(8):
+        assert _aitken_count(shape.nu, shape.lam) == count_linear_extensions(build_poset(shape)), shape
+
+
+def test_gessel_viennot_matches_proctor_on_the_staircase():
+    # L(t) = Omega(P, t + 1) on delta_n is prod_{i<j<=n} (2t + i + j - 1)/(i + j - 1).
+    for n in range(1, 13):
+        values = _gessel_viennot_values(staircase(n), Partition(), 5)
+        assert values == [prod(F(2 * t + i + j - 1, i + j - 1)
+                               for j in range(1, n + 1) for i in range(1, j))
+                          for t in range(5)], n
+
+
+def test_gessel_viennot_matches_macmahon_on_the_box():
+    # L(t) on a^b counts the plane partitions in a b x a x t box.
+    for a in range(1, 9):
+        for b in range(1, 9):
+            values = _gessel_viennot_values(Partition([a] * b), Partition(), 5)
+            assert values == [prod(F(i + j + k - 1, i + j + k - 2) for i in range(1, b + 1)
+                                   for j in range(1, a + 1) for k in range(1, t + 1))
+                              for t in range(5)], (a, b)
+
+
+def test_determinant_mutants_fail_on_small_shapes():
+    # Gessel-Viennot with h at t in every entry, not t + i - j, and Aitken
+    # with 1/(nu_i - lam_j)!, not 1/(nu_i - lam_j - i + j)!, each miss the
+    # lattice walks on some shape; the pins above would catch either.
+    def h(k, N):
+        return 1 if k == 0 else comb(N + k - 1, k) if k > 0 and N + k - 1 >= 0 else 0
+
+    unshifted, unaligned = [], []
+    for shape in all_skew_shapes(6):
+        P = build_poset(shape)
+        rows = range(1, len(shape.nu) + 1)
+        nu, lam = shape.nu.part, shape.lam.part
+        gv = [det([[h(nu(i) - lam(j) - i + j, t) for j in rows] for i in rows]) for t in (1, 2, 3)]
+        unshifted.append(gv != order_polynomial_values(P, 3))
+        aitken = F(factorial(shape.size) * det([[perm(nu(i), lam(j)) for j in rows] for i in rows]),
+                   prod(factorial(nu(i)) for i in rows))
+        unaligned.append(aitken != count_linear_extensions(P))
+    assert any(unshifted) and any(unaligned)
 
 
 def test_polynomials_refuse_floats_and_bools():
