@@ -5,18 +5,19 @@ j <= j'.  Elements are kept in row-major order, which is itself a linear
 extension; that fact is exploited throughout.
 
 The linear extensions e(P) and the order polynomial Omega(P, t) are counted
-two ways.  ``count_linear_extensions`` and ``order_polynomial_values`` walk
-the lattice J(P) of order ideals, whose size is L(1), so their cost grows
-with the lattice.  ``_aitken_count`` and ``_gessel_viennot_values`` read
-the same numbers off one determinant of side l(nu) from the parts of nu and
-lam, in time polynomial in the shape; the CLI counts by them, and the
-tests pin them to the lattice walks.
+two ways.  ``_aitken_count`` and ``_gessel_viennot_values`` read them off
+one determinant of side l(nu) from the parts of nu and lam, in time
+polynomial in the shape; the CLI counts by them.  ``count_linear_extensions``
+and ``order_polynomial_values`` sum over the lattice J(P) of order ideals,
+which ``_ideal_lattice`` grows one element at a time from P's own covers,
+so they count any ``SkewPoset`` and their cost grows with the lattice,
+whose size is L(1).  They are the independent oracles that the tests hold
+the determinants to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, islice
 from math import comb, factorial, lcm, perm, prod
 from typing import Iterator, Mapping, Sequence
 
@@ -121,129 +122,31 @@ def in_order_polytope(P: SkewPoset, f: Mapping[Cell, Scalar]) -> bool:
     return all(vals[a] <= vals[b] for a, b in P.covers)
 
 
-def _skew_rows(P: SkewPoset) -> list[tuple[int, int, bool]]:
-    """The rows of the skew shape whose cell poset P is, top to bottom:
-    (lam_i, nu_i, joined) for each row i that holds cells, where joined
-    tells whether row i + 1 holds cells too.
-
-    Checks in O(|P|) that P is what build_poset makes of a skew shape: its
-    elements run through each row's cells lam_i < j <= nu_i in row-major
-    order, the ends lam_i and nu_i of adjacent rows weakly decrease, and
-    its covers are exactly the east and south neighbor pairs.  Raises
-    ValueError otherwise, since the row walk of _ideals_with_maxima would
-    count a different poset.
-    """
-    rows: list[list[int]] = []  # [i, lam_i, nu_i, index of the row's first cell]
-    for k, (i, j) in enumerate(P.elements):
-        if rows and rows[-1][0] == i and rows[-1][2] == j - 1:
-            rows[-1][2] = j
-        elif not rows or rows[-1][0] < i:
-            rows.append([i, j - 1, j, k])
-        else:
-            raise ValueError("poset elements are not the rows of a skew shape in row-major order")
-    shape = []
-    for r, (i, lam, nu, start) in enumerate(rows):
-        below = rows[r + 1] if r + 1 < len(rows) and rows[r + 1][0] == i + 1 else None
-        if below is not None and (below[1] > lam or below[2] > nu):
-            raise ValueError("poset elements are not the cells of a skew shape")
-        for j in range(lam + 1, nu + 1):
-            east = (start + j - lam,) if j < nu else ()
-            south = ((below[3] + j - below[1] - 1,)
-                     if below is not None and below[1] < j <= below[2] else ())
-            if P.upper_covers(start + j - lam - 1) != east + south:
-                raise ValueError("poset covers are not the east and south neighbors of its cells")
-        shape.append((lam, nu, below is not None))
-    return shape
-
-
-def _lower_cover_offsets(rows: Sequence[tuple[int, int, bool]]) -> list[int]:
-    """For each element x of P, given by the rows (lam_i, nu_i, joined)
-    that _skew_rows returns, the offset delta[x] that removing x moves an
-    ideal back by in the list of _ideals_with_maxima: wherever x is maximal
-    in the ideal at position k, the ideal minus x is at position
-    k - delta[x].
-
-    The walk lists the ideals as a nested product over the rows' parts,
-    the top row varying fastest.  So the part q of row r heads a block of
-    comp_r(q) ideals, one per filling of the rows above it: comp_0 = 1,
-    and comp_r(q) sums comp_{r-1}(q') over q' from start_{r-1}(q) to
-    nu_{r-1}, where start_{r-1}(q) is max(lam_{r-1}, q) when row r - 1 is
-    joined to row r and lam_{r-1} otherwise.  Removing the cell x = (r, q)
-    lowers the part to q - 1 and keeps the filling above, so it moves back
-    past the block of q - 1, less the fillings at its head whose row r - 1
-    part is q - 1, which the block of q lacks.  There are such fillings
-    only when the rows are joined and q > lam_{r-1}:
-    delta[x] = comp_r(q - 1) - [joined and q > lam_{r-1}] comp_{r-1}(q - 1).
-    """
-    delta: list[int] = []
-    alam, ajoined, comp = 0, False, [1]  # an empty row above the top row
-    for lam, nu, joined in rows:
-        suffix = list(accumulate(reversed(comp)))[::-1]  # suffix[q' - alam]
-        above, comp = comp, [suffix[max(alam, q) - alam if ajoined else 0]
-                             for q in range(lam, nu + 1)]
-        delta += [comp[q - 1 - lam] - (above[q - 1 - alam] if ajoined and q > alam else 0)
-                  for q in range(lam + 1, nu + 1)]
-        alam, ajoined = lam, joined
-    return delta
-
-
-def _ideals_with_maxima(P: SkewPoset, masks: bool = True
-                        ) -> tuple[list[int] | None, list[tuple[int, ...]]]:
-    """The down-closed subsets of P and the maximal elements of each.
-
-    The ideals are bitmasks over elements, in increasing bitmask order: the
-    list starts with the empty ideal and ends with all of P, and every
-    ideal comes after the ideals it contains.  Each ideal's maxima are
-    given by position: ``lower[k]`` holds -delta[x] (see
-    _lower_cover_offsets) for each maximal element x of ``ideals[k]``, from
-    the last row up, so that ``ideals[k - delta[x]]`` is the ideal minus x.
-    With ``masks=False`` the bitmasks are not built and None stands for
-    them; the offsets alone fix the lattice's covers.
-
-    The ideals are the cells of the partitions mu between lam and nu, and
-    are walked by their parts from the last row up, one list comprehension
-    per row and list.  Row i's part q runs from the larger of lam_i and the
-    part p of the row below (when that row holds cells) up to nu_i, and its
-    cell (i, q) is maximal exactly when q exceeds both.  A row's additions
-    (offset tuple of the maximal cell, prefix bits) are built once per part
-    of the row below.  Since later rows hold the higher bits, the walk
-    lists the ideals in increasing order.
-    """
-    rows = _skew_rows(P)
-    delta = _lower_cover_offsets(rows)
-    ideals, lower, below = [0], [()], [0]  # below: the part of the row below
-    parts: Sequence[int] = (0,)
-    shift = len(P)
-    for lam, nu, joined in reversed(rows):
-        shift -= nu - lam
-        steps = {p: range(max(lam, p) if joined else lam, nu + 1) for p in parts}
-        tops = {p: [(-delta[shift + q - lam - 1],) if q > qs.start else () for q in qs]
-                for p, qs in steps.items()}
-        if masks:
-            bits = {p: [(1 << q - lam) - 1 << shift for q in qs] for p, qs in steps.items()}
-            ideals = [I | b for I, p in zip(ideals, below) for b in bits[p]]
-        lower = [D + top for D, p in zip(lower, below) for top in tops[p]]
-        below = [q for p in below for q in steps[p]]
-        parts = range(lam, nu + 1)
-    return ideals if masks else None, lower
-
-
 def _ideal_lattice(P: SkewPoset) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The lattice J(P) of down-closed subsets, as bitmasks over elements.
 
-    Returns ``(ideals, covers)``, the ideals as listed by
-    :func:`_ideals_with_maxima`.  ``covers[x]`` lists the pairs ``(i, j)``
-    with ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
-    increasing i.  They are read off each ideal's lower cover offsets, one
-    pair per cover of the lattice; x is the one bit in which the two
-    ideals differ.
+    Returns ``(ideals, covers)``.  The ideals are grown one element at a
+    time in index order: x joins every ideal listed so far that holds its
+    lower covers.  Each cover goes from a smaller to a larger index, so
+    index order is a linear extension.  The ideals that x joins hold bit x
+    and no higher bit, so they sort above every ideal listed before them,
+    and the list is in increasing bitmask order: it starts with the empty
+    ideal, ends with all of P, and every ideal comes after the ideals it
+    contains.  ``covers[x]`` lists the pairs ``(i, j)`` with
+    ``ideals[j] == ideals[i] - {x}`` and x maximal in ``ideals[i]``, in
+    increasing i, read off a {mask: position} index.
     """
-    ideals, lower = _ideals_with_maxima(P)
-    covers: list[list[tuple[int, int]]] = [[] for _ in range(len(P))]
-    for i, (I, D) in enumerate(zip(ideals, lower)):
-        for o in D:
-            j = i + o
-            covers[(I ^ ideals[j]).bit_length() - 1].append((i, j))
+    ideals = [0]
+    for x in range(len(P)):
+        below = sum(1 << a for a in P.lower_covers(x))
+        ideals += [I | 1 << x for I in ideals if I & below == below]
+    index = {I: k for k, I in enumerate(ideals)}
+    covers = []
+    for x in range(len(P)):
+        bit = 1 << x
+        above = sum(1 << b for b in P.upper_covers(x))
+        covers.append([(i, index[I ^ bit]) for i, I in enumerate(ideals)
+                       if I & bit and not I & above])
     return ideals, covers
 
 
@@ -252,17 +155,14 @@ def count_linear_extensions(P: SkewPoset) -> int:
 
     Counts the saturated chains of J(P) from the empty ideal to P, one
     added maximal element per step: h(I) is the sum of h(I - {x}) over the
-    maxima x of I, and each I - {x} is listed before I.  h is a list by
-    position, and while h(I) is summed it holds the values of the ideals
-    before I, so the offset -delta[x] that _ideals_with_maxima gives for x
-    reads h(I - {x}) as h[-delta[x]].
+    maxima x of I.  The cover pairs (i, j) of _ideal_lattice are summed in
+    sorted order: j < i, so the pairs that complete h[j] come before h[j]
+    is added to h[i].
     """
-    lower = _ideals_with_maxima(P, masks=False)[1]
-    h = [1]
-    append = h.append
-    get = h.__getitem__
-    for D in islice(lower, 1, None):
-        append(sum(map(get, D)))
+    ideals, covers = _ideal_lattice(P)
+    h = [1] + [0] * (len(ideals) - 1)
+    for i, j in sorted(pair for pairs in covers for pair in pairs):
+        h[i] += h[j]
     return h[-1]
 
 
@@ -387,7 +287,7 @@ def enumerate_filters(P: SkewPoset) -> list[frozenset[Cell]]:
     """All up-closed subsets; indicator functions of these are exactly the
     0/1 points of the order polytope."""
     filters = [frozenset(c for k, c in enumerate(P.elements) if not I >> k & 1)
-               for I in _ideals_with_maxima(P)[0]]
+               for I in _ideal_lattice(P)[0]]
     return sorted(filters, key=lambda s: (len(s), sorted(s)))
 
 

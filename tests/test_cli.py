@@ -1,9 +1,11 @@
+import argparse
 import json
 from fractions import Fraction
 from math import factorial
 
 import pasmpoly.cli
 import pasmpoly.hooklength
+import pasmpoly.skewposet
 from pasmpoly import (
     Matrix,
     Partition,
@@ -14,7 +16,7 @@ from pasmpoly import (
     enumerate_between,
     vertex_matrix,
 )
-from pasmpoly.cli import main
+from pasmpoly.cli import build_parser, main
 
 from families import all_skew_shapes
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
@@ -371,3 +373,30 @@ def test_repeated_calls_share_no_state(tmp_path, capsys):
     assert main(["dim", "--lambda", "2,2", "--nu", "3,1"]) == 2
     capsys.readouterr()
     assert run(capsys, "dim", *shape) == (0, "4\n")
+
+
+def test_no_command_walks_the_ideal_lattice(tmp_path, capsys, monkeypatch):
+    # The commands count by determinants; J(P) is walked only by the oracles
+    # that the tests hold those determinants to.  One run of every
+    # subcommand must print the same with the lattice walk made to raise.
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps(RATIONAL_POINT_422_31.to_json_dict()))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(PARTIAL_4.to_json_dict()))
+    shape = ["--lambda", "3,1", "--nu", "4,2,2"]
+    argvs = [["vertices", *shape], ["check", *shape, "--matrix", str(member)], ["dim", *shape],
+             ["volume", *shape], ["ehrhart", *shape], ["face-labeling", *shape],
+             ["flow-graph", *shape], ["phi", "--matrix", str(square)],
+             ["certify", *shape, "--tmax", "2"]]
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(argv[0] for argv in argvs) == sorted(subcommands)
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _ in expected)
+
+    def walk(P):
+        raise AssertionError("a command walked the ideal lattice J(P)")
+
+    monkeypatch.setattr(pasmpoly.skewposet, "_ideal_lattice", walk)
+    for argv, outcome in zip(argvs, expected):
+        assert run(capsys, *argv) == outcome, argv[0]

@@ -333,16 +333,14 @@ def test_census_past_the_guardrail():
 
 
 @pytest.mark.parametrize("edge", [("H", 3, 2), ("V", 3, 2)], ids=["H(3,2)", "V(3,2)"])
-def test_a_bound_below_zero_at_a_cover_cell_fails_the_census(monkeypatch, edge):
+def test_a_bound_below_zero_at_a_cover_cell_fails_the_census(edge):
     # On (4,2,2)/(3,1), both bounds are [0, 1].  H(3, 2) >= -1 lets the
     # corner sum of the cell (3, 2) fall below that of (2, 2) above it, and
     # V(3, 2) >= -1 below that of (3, 1) west of it: the census names a
     # point whose image breaks the cover.
-    poly = example_polytope()
     kind = edge[0]
-    widened = narrowed_bounds(poly, edge, -1, 1)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: widened)
-    report = certify_integral_equivalence(poly, 2)
+    widened = TablePolytope(EXAMPLE, narrowed_bounds(example_polytope(), edge, -1, 1))
+    report = certify_integral_equivalence(widened, 2)
     assert report["affine_unimodular"] is True
     assert report["vertex_bijection"] is False
     assert report["dilate_counts"] == []
@@ -353,7 +351,7 @@ def test_a_bound_below_zero_at_a_cover_cell_fails_the_census(monkeypatch, edge):
     assert not certificate_passes(report)
 
 
-def test_a_corner_sum_above_t_fails_the_census(monkeypatch):
+def test_a_corner_sum_above_t_fails_the_census():
     # V(3, 3) >= -1 lets C(3, 2) = C(3, 3) + 1 = 2 on the cell (3, 2), with
     # no cover broken, and H(4, 2) >= -1 lets that point close: the census
     # names a point whose image leaves [0, t].
@@ -361,24 +359,21 @@ def test_a_corner_sum_above_t_fails_the_census(monkeypatch):
     lists = [list(xs) for xs in poly._bounds()]
     lists[0][3 * poly.n + 1] = -1   # lo_H of H(4, 2)
     lists[2][2 * poly.n + 2] = -1   # lo_V of V(3, 3)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: tuple(lists))
-    report = certify_integral_equivalence(poly, 1)
+    report = certify_integral_equivalence(TablePolytope(EXAMPLE, tuple(lists)), 1)
     assert report["dilate_counts"] == []
     assert report["counterexample"]["dilate"] == 1
     assert _corner_rows(report["counterexample"]["point"]["entries"])[2][1] == 2
     assert not certificate_passes(report)
 
 
-def test_a_widened_pin_on_a_non_cell_corner_sum_fails_the_census(monkeypatch):
+def test_a_widened_pin_on_a_non_cell_corner_sum_fails_the_census():
     # H(1, 5) = C(1, 5) is pinned to t, east of the only cell (1, 4) of row
     # 1.  Widened to [0, t], two keys of row 1 share their slice on the
     # cells, so a slice no longer names its point; the count alone still
     # matches at t = 1.
-    poly = example_polytope()
-    widened = narrowed_bounds(poly, ("H", 1, 5), 0, 1)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: widened)
-    assert _census_of(poly, 1) == (10, True, False)
-    report = certify_integral_equivalence(poly, 2)
+    widened = TablePolytope(EXAMPLE, narrowed_bounds(example_polytope(), ("H", 1, 5), 0, 1))
+    assert _census_of(widened, 1) == (10, True, False)
+    report = certify_integral_equivalence(widened, 2)
     assert report["vertex_bijection"] is False
     assert report["dilate_counts"] == [[1, 10, 10]]
     assert report["counterexample"] == {"dilate": 1}
@@ -603,17 +598,15 @@ def test_the_row_pair_graph_has_one_path_per_vertex():
         assert certify_integral_equivalence(poly, 1)["dilate_counts"] == [[1, L, L]], shape
 
 
-def test_certificate_fails_on_a_vertex_outside_the_h_description(monkeypatch):
+def test_certificate_fails_on_a_vertex_outside_the_h_description():
     # On (4,2,2)/(3,1) the entry (2, 5) is -H(2, 4), so pinning H(2, 4) to 0
     # cuts off the vertices with a nonzero entry there.
-    poly = example_polytope()
-    narrowed = narrowed_bounds(poly, ("H", 2, 4), 0, 0)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
-    report = certify_integral_equivalence(poly, 2)
+    narrowed = TablePolytope(EXAMPLE, narrowed_bounds(example_polytope(), ("H", 2, 4), 0, 0))
+    report = certify_integral_equivalence(narrowed, 2)
     assert report["affine_unimodular"] is False
     assert report["dilate_counts"] == []
     V = Matrix.from_json_dict(report["counterexample"]["vertex"])
-    assert V in poly.vertices()
+    assert V in narrowed.vertices()
     assert V.entry(2, 5) != 0
     assert not certificate_passes(report)
 
@@ -648,10 +641,9 @@ def test_round_trip_reads_the_list_indexed_bound_table(monkeypatch):
 
     poly = example_polytope()
     edge = next(e for e, labels in face_labeling(poly).items() if len(labels) > 1)
-    narrowed = narrowed_bounds(poly, edge, 1, 1)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
+    narrowed = TablePolytope(EXAMPLE, narrowed_bounds(poly, edge, 1, 1))
     monkeypatch.setattr(PasmPolytope, "satisfies_inequalities", no_matrix_membership)
-    report = certify_integral_equivalence(example_polytope(), 1)
+    report = certify_integral_equivalence(narrowed, 1)
     assert report["affine_unimodular"] is False
     assert not certificate_passes(report)
     V = Matrix.from_json_dict(report["counterexample"]["vertex"])

@@ -327,12 +327,10 @@ def test_scan_matches_cell_by_cell_oracle_boxed(shape, t, data):
     if narrowable:
         edge, lo, hi = data.draw(st.sampled_from(narrowable))
         value = data.draw(st.sampled_from((lo, hi)))
-        narrowed = narrowed_bounds(poly, edge, value, value)
+        narrowed = TablePolytope(shape, narrowed_bounds(poly, edge, value, value))
         kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
-            assert poly.dilate_lattice_points(t).count == len(kept)
-            assert [X.rows for X in poly.dilate_integer_points(t)] == [P.rows for P in kept]
+        assert narrowed.dilate_lattice_points(t).count == len(kept)
+        assert [X.rows for X in narrowed.dilate_integer_points(t)] == [P.rows for P in kept]
 
 
 def _narrowable_edges(poly: PasmPolytope) -> list[tuple[Edge, int, int]]:
@@ -348,7 +346,7 @@ def _partial_sum(P: Matrix, edge: Edge) -> int:
     return row_partial_sums(P, i)[j - 1] if kind == "H" else column_partial_sums(P, j)[i - 1]
 
 
-def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatch):
+def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle():
     # Pinning a two-valued row partial sum short of the last column, or a
     # two-valued column partial sum, makes keys of the cell walk die
     # partway: each entry must obey the H bound over the entry above it and
@@ -358,19 +356,18 @@ def test_scan_on_a_narrowed_mid_row_bound_matches_the_filtered_oracle(monkeypatc
     poly = example_polytope()
     narrowable = _narrowable_edges(poly)
     assert {edge[0] for edge, _, _ in narrowable} == {"H", "V"}
-    pins = [(edge, value, narrowed_bounds(poly, edge, value, value))
+    pins = [(edge, value, TablePolytope(EXAMPLE, narrowed_bounds(poly, edge, value, value)))
             for edge, lo, hi in narrowable for value in (lo, hi)]
     for t in (1, 2, 3):
         oracle = list(_scan_integer_points(poly, t))
         for edge, value, narrowed in pins:
-            monkeypatch.setattr(PasmPolytope, "_bounds", lambda self, table=narrowed: table)
             kept = [P for P in oracle if _partial_sum(P, edge) == t * value]
             assert 0 < len(kept) < len(oracle)
-            assert poly.dilate_integer_points(t) == kept, (edge, value, t)
-            assert poly.dilate_lattice_points(t).count == len(kept), (edge, value, t)
+            assert narrowed.dilate_integer_points(t) == kept, (edge, value, t)
+            assert narrowed.dilate_lattice_points(t).count == len(kept), (edge, value, t)
 
 
-def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists(monkeypatch):
+def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists():
     # The face labeling, the membership test, the scan and the certificate
     # read the one bound table: pinning the two-valued H(2, 4) of
     # (4,2,2)/(3,1) to 0 narrows all four alike.
@@ -380,13 +377,12 @@ def test_one_pinned_edge_narrows_every_reader_of_the_bound_lists(monkeypatch):
     assert labeling[edge] == frozenset({0, 1})
     kept = [V for V in verts if _partial_sum(V, edge) == 0]
     assert 0 < len(kept) < len(verts)
-    narrowed = narrowed_bounds(poly, edge, 0, 0)
-    monkeypatch.setattr(PasmPolytope, "_bounds", lambda self: narrowed)
-    assert face_labeling(poly) == {**labeling, edge: frozenset({0})}
-    assert [V for V in verts if poly.satisfies_inequalities(V)] == kept
-    assert sorted(X.rows for X in poly.dilate_integer_points(1)) == sorted(V.rows for V in kept)
-    assert poly.dilate_lattice_points(1).count == len(kept)
-    report = certify_integral_equivalence(poly, 1)
+    narrowed = TablePolytope(EXAMPLE, narrowed_bounds(poly, edge, 0, 0))
+    assert face_labeling(narrowed) == {**labeling, edge: frozenset({0})}
+    assert [V for V in verts if narrowed.satisfies_inequalities(V)] == kept
+    assert sorted(X.rows for X in narrowed.dilate_integer_points(1)) == sorted(V.rows for V in kept)
+    assert narrowed.dilate_lattice_points(1).count == len(kept)
+    report = certify_integral_equivalence(narrowed, 1)
     assert report["affine_unimodular"] is False
     V = Matrix.from_json_dict(report["counterexample"]["vertex"])
     assert V in verts and V not in kept
