@@ -5,24 +5,17 @@ lcm of its denominators, which changes neither the rank nor the solution set
 of a row of equations, and all elimination then runs on Python ints.  No
 floating point is used.
 
-``rank`` keeps an incremental Gauss-Jordan basis of sparse rows
-(``{column: int}``), so its cost follows the nonzero entries, not the
-dense shape.  It takes dense rows, which it sparsifies, or sparse int rows
-as they are: the polytope's dimension hands it the first vertex row and
-the distinct differences of consecutive vertex rows, at most d + 1 sparse
-rows in all.  Every basis row is divided by its content (the gcd of its
-entries) after each update, so it stays primitive.  The basis is
-reduced: its pivot columns are zero in every other basis row, so each basis
-row is, up to sign, the primitive integer vector of the row span that
-vanishes on the other pivot columns.  By Cramer's rule its entries are
-bounded by r x r minors of the scaled input, the same bound as for Bareiss
-elimination.  Because the basis is reduced, an incoming row is cleared of
-every pivot it hits in one pass: scaled by the lcm of those pivot entries,
-minus the multiple of each basis row read off the row itself, and its
-content is divided out once, not once per pivot.  When a new pivot joins,
-the back-reduction of each basis row that holds it is the same one-pass
-step with that one pivot.  The scale, an lcm, is positive, so a basis row
-keeps the sign of its pivot entry.
+``rank`` brings sparse rows (``{column: int}``) to row echelon form, so
+its cost follows the nonzero entries, not the dense shape.  It takes dense
+rows, which it sparsifies, or sparse int rows as they are.  Its one caller
+in the package, the polytope's dimension, hands it the first vertex row
+and the distinct differences of consecutive vertex rows, at most d + 1
+sparse rows in all.  A row whose leading column p leads no basis row
+joins the basis.  Otherwise it becomes b[p] * row - row[p] * b, for the
+basis row b that leads at p, which is zero at p; it is divided by its
+content (the gcd of its entries) and the step repeats on its new leading
+column.  A row that reaches zero lies in the span of the basis, and the
+rank is the number of basis rows.
 
 ``det`` and the phase-1 simplex are fraction-free in the sense of Bareiss
 (Math. Comp. 22, 1968): every entry they hold is an integer minor of the
@@ -54,46 +47,28 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _clear(row: dict[int, int], pivots: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    """scale * row minus, for each pair (c, b) of pivots, the multiple of b
-    that clears column c, with scale the lcm of the pivot entries b[c]; then
-    divided by its content.  Each b must be zero on the other pivot columns,
-    so each multiple is read off the row itself."""
-    scale = lcm(*[b[c] for c, b in pivots])
-    out = dict(row) if scale == 1 else {j: scale * x for j, x in row.items()}
-    for c, b in pivots:
-        a = scale * row[c] // b[c]
-        for j, y in b.items():
-            x = out.get(j, 0) - a * y
-            if x:
-                out[j] = x
-            else:
-                del out[j]
-    return _primitive(out)
-
-
-def _reduced_basis(rows: Iterable[Row]) -> dict[int, dict[int, int]]:
-    """A reduced basis of the row span, as {pivot column: primitive sparse row}.
+def rank(rows: Iterable[Row]) -> int:
+    """Rank of the row span, by sparse fraction-free row echelon elimination.
     A dense row is sparsified first; a sparse int row is used as it is and
     is not changed."""
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
         if not isinstance(row, dict):
             row = {j: x for j, x in enumerate(_integer_row(row)) if x}
-        vec = _clear(row, [(c, basis[c]) for c in row if c in basis])
-        if not vec:
-            continue
-        p = min(vec)
-        for c, b in basis.items():
-            if p in b:
-                basis[c] = _clear(b, [(p, vec)])
-        basis[p] = vec
-    return basis
-
-
-def rank(rows: Iterable[Row]) -> int:
-    """Rank of the row span, by sparse Gauss-Jordan elimination."""
-    return len(_reduced_basis(rows))
+        while row and (p := min(row)) in basis:
+            b = basis[p]
+            q, a = b[p], row[p]
+            out = {j: q * x for j, x in row.items()}
+            for j, y in b.items():
+                x = out.get(j, 0) - a * y
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
+            row = _primitive(out)
+        if row:
+            basis[p] = row
+    return len(basis)
 
 
 def det(M: Sequence[Sequence[int]]) -> int:

@@ -1,7 +1,6 @@
 """The integer kernels of ``pasmpoly._linalg`` against ``Fraction`` oracles."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from pasmpoly import Partition, PasmPolytope, SkewShape
 from pasmpoly._linalg import (
     _integer_row,
-    _reduced_basis,
     convex_combination_exists,
     det,
     rank,
@@ -158,6 +156,12 @@ def test_rank_examples():
     assert rank([[0, 1], [1, 0]]) == 2
     assert rank([[F(1, 2), F(1, 3)], [3, 2]]) == 1
     assert rank([[0, 0, 1], [0, 0, 2], [0, 1, 0]]) == 2
+    # Leading entries 2 and 3: the third row is eliminated against both.
+    assert rank([[2, 0, 1], [0, 3, 1], [1, 1, 0]]) == 3
+    assert rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+    # The third row, eliminated against the first, leads at column 1 and
+    # is then eliminated against the second, to zero.
+    assert rank([[1, 1, 0], [0, 1, 1], [1, 0, -1]]) == 2
     assert affine_rank([[1, 1], [2, 2], [3, 3]]) == 1
 
 
@@ -181,55 +185,16 @@ def test_rank_matches_oracle_on_vertex_differences():
         assert rank(diffs) == shape.size, shape
 
 
-def assert_reduced_primitive_and_spans(rows, basis):
-    ncols = len(rows[0]) if rows else 0
-    dense = [[b.get(j, 0) for j in range(ncols)] for b in basis.values()]
-    for c, b in basis.items():
-        assert b[c] != 0 and all(x != 0 and type(x) is int for x in b.values())
-        assert not any(p in b for p in basis if p != c), "pivot column not cleared"
-        assert gcd(*b.values()) == 1, "row not divided by its content"
-    # Independent rows inside the span, as many as its dimension.
-    assert len(basis) == fraction_rank(rows) == fraction_rank(dense)
-    assert fraction_rank(rows + dense) == fraction_rank(rows)
-
-
-@given(matrices())
-def test_reduced_basis_is_reduced_primitive_and_spans(rows):
-    assert_reduced_primitive_and_spans(rows, _reduced_basis(rows))
-
-
-def test_one_pass_reduction_over_two_non_unit_pivots():
-    # The first two rows become pivots 0 and 1 with entries 2 and 3; the
-    # third hits both, so it is scaled by lcm(2, 3) = 6 before the basis
-    # multiples are subtracted.
-    pivots = [[2, 0, 1], [0, 3, 1]]
-    assert _reduced_basis(pivots) == {0: {0: 2, 2: 1}, 1: {1: 3, 2: 1}}
-    # 6 (1, 1, 0) - 3 (2, 0, 1) - 2 (0, 3, 1) = (0, 0, -5): a new pivot.
-    rows = pivots + [[1, 1, 0]]
-    basis = _reduced_basis(rows)
-    assert sorted(basis) == [0, 1, 2]
-    assert_reduced_primitive_and_spans(rows, basis)
-    # The back-reduction by pivot 2 scales by |-5|, so each basis row keeps
-    # the sign of its pivot entry.
-    assert basis == {0: {0: 1}, 1: {1: 1}, 2: {2: -1}}
-    # (2, 3, 2) is the sum of the pivot rows: it reduces to zero.
-    rows = pivots + [[2, 3, 2]]
-    basis = _reduced_basis(rows)
-    assert basis == {0: {0: 2, 2: 1}, 1: {1: 3, 2: 1}}
-    assert_reduced_primitive_and_spans(rows, basis)
-
-
 @given(matrices(entries=small_ints))
 @example([[2, 0, 1], [0, 3, 1], [1, 1, 0], [4, 0, 2], [0, 1, 0]])
-def test_reduced_basis_leaves_sparse_input_rows_unchanged(rows):
+def test_rank_leaves_sparse_input_rows_unchanged(rows):
     # Sparse int rows, as dimension() passes its vertex rows, some with a
-    # content above 1: the basis may keep some of them but must not change
-    # them.
+    # content above 1: rank may keep some of them but must not change them.
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     before = [dict(row) for row in sparse]
-    basis = _reduced_basis(sparse)
+    r = rank(sparse)
     assert sparse == before
-    assert len(basis) == fraction_rank(rows)
+    assert r == fraction_rank(rows)
 
 
 @settings(deadline=None)  # the first example imports sympy
