@@ -19,13 +19,15 @@ A dilate is checked by a census of the scan's count walk: each cover of
 the cell poset is checked at the cell that ends it, and at the end of each
 row each key's slice on the cells is checked once against [0, t] and the
 other slices, for all the points through it.  The points and the maps are
-counted, not listed; they are listed only to name a counterexample.
+counted, not listed; the points are listed only to name a counterexample,
+and no map is.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate, chain
-from operator import add, getitem
+from operator import getitem
 from typing import Sequence
 
 from .matrices import Matrix, Scalar, _corner_rows, _inverse_corner_row, _inverse_corner_rows, vertex_matrix
@@ -161,9 +163,10 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
       lifted by 1.  The census of :func:`_census` proves that the images
       are such maps and that the points inject into them, so the points
       biject onto the maps iff they are as many.  Only when an image is
-      not such a map are the maps and ``poly.dilate_integer_points(t)``
-      listed; the first matrix whose lifted image is not a map is the
-      counterexample, or the dilate alone if there is none.
+      not such a map is ``poly.dilate_integer_points(t)`` listed; a lifted
+      image is a map iff the image lies in t O(P), and the first matrix
+      whose image does not is the counterexample, or the dilate alone if
+      there is none.
 
     t_max must be at least 1, so that some dilate is checked.  The dilate
     guardrail, which also checks its type, runs before any other work; it
@@ -222,18 +225,18 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
 
     # The census counts the points and checks their images, each point's
     # corner sums on the cells lifted by 1 into {1, ..., t + 1}; the maps
-    # are counted, and listed only to name the first point whose image is
-    # not a map.  At t = 1 the vertices must first be as many as the maps.
-    ones = (1,) * len(P)
+    # are counted.  A lifted image is such a map iff the image lies in
+    # t O(P), which names the first bad point when the census finds one.
+    # At t = 1 the vertices must first be as many as the maps.
     for t in range(1, t_max + 1):
         total = sum(1 for _ in enumerate_order_preserving_maps(P, t + 1))
         if t == 1 and vertices != total:
             return fail("vertex_bijection", {"vertices": vertices, "maps": total})
         count, valid, injective = _census(poly, P, t)
         if not valid:
-            maps = set(enumerate_order_preserving_maps(P, t + 1))
             bad = next((X for X in poly.dilate_integer_points(t)
-                        if tuple(map(add, _corner_image(X.rows, layout), ones)) not in maps), None)
+                        if not in_order_polytope(P, {c: Fraction(x, t) for c, x in
+                                                     zip(P.elements, _corner_image(X.rows, layout))})), None)
             return fail("vertex_bijection",
                         {"dilate": t} if bad is None else {"dilate": t, "point": bad.to_json_dict()})
         report["dilate_counts"].append([t, count, total])

@@ -55,9 +55,6 @@ class Matrix:
             raise IndexError(f"entry ({i},{j}) outside {self.m}x{self.n} matrix")
         return self.rows[i - 1][j - 1]
 
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.rows for x in row)
-
     def flatten(self) -> tuple[Scalar, ...]:
         return tuple(x for row in self.rows for x in row)
 

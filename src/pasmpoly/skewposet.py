@@ -170,38 +170,33 @@ def enumerate_order_preserving_maps(P: SkewPoset, t: int) -> Iterator[tuple[int,
     """All order-preserving maps into {1,...,t}, as value tuples over elements,
     in lexicographic order.
 
-    Relies on the row-major element order being a linear extension, so each
-    element's lower covers are assigned before it.  The search is a
-    depth-first walk in one frame: values[k] holds the iterator over the
-    values still to try for element k, from the largest value of its lower
-    covers up to t.  A t that is not an int, a bool among them, raises
-    TypeError.
+    An odometer, like ``shapes._between``: the last element below t goes up
+    by 1, and every later element drops back to its least value, the
+    largest value of its lower covers, or 1.  This is exact because the
+    row-major element order is a linear extension: an element's lower
+    covers come before it, and its upper covers after it, where they are
+    reset.  A t that is not an int, a bool among them, raises TypeError.
     """
     t = _int(t, "chain length")
     if t < 1:
         raise ValueError("the target chain must have at least one element")
     d = len(P)
-    if d == 0:
-        yield ()
-        return
     down = [P.lower_covers(k) for k in range(d)]
-    vals = [0] * d
-    values = [iter(range(1, t + 1))] + [iter(())] * (d - 1)
-    last, k = d - 1, 0
-    while k >= 0:
-        for vals[k] in values[k]:
-            if k == last:
-                yield tuple(vals)
-            else:
-                k += 1
-                lo = 1
-                for p in down[k]:
-                    if vals[p] > lo:
-                        lo = vals[p]
-                values[k] = iter(range(lo, t + 1))
-                break
-        else:
+    vals, k = [1] * d, 0
+    while True:
+        for j in range(k + 1, d):
+            lo = 1
+            for p in down[j]:
+                if vals[p] > lo:
+                    lo = vals[p]
+            vals[j] = lo
+        yield tuple(vals)
+        k = d - 1
+        while k >= 0 and vals[k] == t:
             k -= 1
+        if k < 0:
+            return
+        vals[k] += 1
 
 
 def order_polynomial_values(P: SkewPoset, t_max: int) -> list[int]:

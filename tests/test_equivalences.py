@@ -527,6 +527,27 @@ def test_an_image_off_the_maps_with_no_such_point_names_the_dilate(monkeypatch):
     assert not certificate_passes(report)
 
 
+def test_a_break_on_a_key_that_no_point_goes_through_names_the_dilate():
+    # On (1,1)/() in its 3 x 2 box, H(1, 2) in [1, 2] and V(2, 1) in [0, 2]
+    # let the walk reach a key with C(2, 1) = 2 > t at the end of row 2, and
+    # two keys of row 1 with one slice.  No point goes through them, so the
+    # census is invalid, every listed point's image is a map into {1, 2},
+    # and the dilate alone is the counterexample.
+    shape = SkewShape(Partition([1, 1]), Partition(), 3, 2)
+    lists = [list(xs) for xs in PasmPolytope(shape)._bounds()]
+    lists[1][1] = 2   # hi_H of H(1, 2), whose lo_H is 1
+    lists[3][2] = 2   # hi_V of V(2, 1), whose lo_V is 0
+    mutated = TablePolytope(shape, tuple(lists))
+    assert _census(mutated, build_poset(shape), 1) == (3, False, False)
+    points = [X.rows for X in mutated.dilate_integer_points(1)]
+    assert listing_census(mutated, 1, points) == (3, True, True)
+    report = certify_integral_equivalence(mutated, 1)
+    assert report["vertex_bijection"] is False
+    assert report["dilate_counts"] == []
+    assert report["counterexample"] == {"dilate": 1}
+    assert not certificate_passes(report)
+
+
 def test_one_poset_oracle_serves_both_t_one_checks(monkeypatch):
     real = equivalences.enumerate_order_preserving_maps
     calls = []

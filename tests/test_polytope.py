@@ -425,7 +425,7 @@ def test_sparse_vertex_rows_match_the_profile_oracle(shape):
     oracle = [vertex_matrix(mu, shape.m, shape.n) for mu in enumerate_between(shape.lam, shape.nu)]
     verts = poly.vertices()
     assert verts == oracle
-    assert all(v.is_integral() for v in verts)
+    assert all(type(x) is int for v in verts for row in v.rows for x in row)
     flat = [v.flatten() for v in oracle]
     diffs = [[x - b for x, b in zip(p, flat[0])] for p in flat[1:]]
     assert poly.dimension() == fraction_rank(diffs)

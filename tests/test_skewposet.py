@@ -328,8 +328,8 @@ def test_order_preserving_map_enumeration():
         assert all(vals[a] <= vals[b] for a, b in P.covers)
 
 
-# The recursive enumeration that the one-frame search replaced, kept as the
-# reference it must match map for map and in order.
+# A recursive enumeration, kept as the reference that the odometer must
+# match map for map and in order.
 def _recursive_order_preserving_maps(P, t):
     d = len(P)
     vals = [0] * d
@@ -349,12 +349,23 @@ def _recursive_order_preserving_maps(P, t):
     yield from rec(0)
 
 
+# Posets built by hand that are not cell posets: an antichain, a chain, and
+# an element with two lower covers, one of them not its predecessor.
+NOT_CELL_POSETS = [
+    SkewPoset([(1, 1), (1, 3), (3, 1), (3, 3)], []),
+    SkewPoset([(1, 1), (1, 3), (2, 2), (4, 1)], [(0, 1), (1, 2), (2, 3)]),
+    SkewPoset([(1, 1), (1, 3), (2, 2), (3, 1)], [(0, 2), (1, 2)]),
+]
+
+
 def test_order_preserving_maps_match_the_recursive_reference():
-    for shape in all_skew_shapes(7):
-        P = build_poset(shape)
-        for t in (1, 2, 3):
-            assert list(enumerate_order_preserving_maps(P, t)) == \
-                list(_recursive_order_preserving_maps(P, t)), (shape, t)
+    posets = [build_poset(shape) for shape in all_skew_shapes(7)] + NOT_CELL_POSETS
+    cases = [(P, t) for P in posets for t in range(1, 6)]
+    # Nine values on (2, 1) carry through every position.
+    cases.append((build_poset(SkewShape(Partition([2, 1]), Partition())), 9))
+    for P, t in cases:
+        assert list(enumerate_order_preserving_maps(P, t)) == \
+            list(_recursive_order_preserving_maps(P, t)), (P.elements, t)
 
 
 def test_order_preserving_maps_edge_cases():
