@@ -9,10 +9,10 @@ floating point is used.
 its cost follows the nonzero entries, not the dense shape.  It takes dense
 rows, which it sparsifies, or sparse int rows as they are.  Its one caller
 in the package, the polytope's dimension, hands it the first vertex row
-and the distinct differences of consecutive vertex rows, at most d + 1
-sparse rows in all.  A row whose leading column p leads no basis row
-joins the basis.  Otherwise it becomes b[p] * row - row[p] * b, for the
-basis row b that leads at p, which is zero at p; it is divided by its
+and one difference of consecutive vertex rows per step key (k, mu_k),
+d + 1 sparse rows in all.  A row whose leading column p leads no basis
+row joins the basis.  Otherwise it becomes b[p] * row - row[p] * b, for
+the basis row b that leads at p, which is zero at p; it is divided by its
 content (the gcd of its entries) and the step repeats on its new leading
 column.  A row that reaches zero lies in the span of the basis, and the
 rank is the number of basis rows.

@@ -6,15 +6,16 @@ The corner-sum map sends a polytope point to the restriction of its
 northwest corner sums to the skew cells.  On the polytope, corner sums are
 pinned to 0 on the lam region and to 1 everywhere east of the shape, which
 is what makes the map invertible.  The certificate checks the equivalence
-by the round trip through these two maps on every vertex, and by counts:
+by a vertex round trip through the inverse's kernel, and by counts:
 the integer points of each small dilate, and at t = 1 the vertices, are as
 many as the order-preserving maps, into which the points inject.  It uses
 no randomness.  Both loops work per row.
 The vertex round trip walks the row-pair graph: with mu_0 = n, row i of
 the profile of mu is fixed by (mu_i, mu_{i+1}), under the unit vector at
 mu_i as column sums, so each edge (i, mu_i, mu_{i+1}) is one row step,
-checked once: the row's bounds, its corner-sum row and the inverse under
-the completed corner-sum row above.  Its paths, the vertices, are counted.
+checked once: the row's bounds, which give its column sums, and the
+inverse of their accumulation, completed by 0/1, under the accumulated
+column sums above.  Its paths, the vertices, are counted.
 A dilate is checked by a census of the scan's count walk: each cover of
 the cell poset is checked at the cell that ends it, and at the end of each
 row each key's slice on the cells is checked once against [0, t] and the
@@ -97,23 +98,21 @@ def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
 
     Each cover a < b of the cell poset P joins b to its west or north
     neighbour; a key breaks it iff b's V (H) step from a can be negative.
-    So the census probes only where that step's lower bound in the dilate's
-    table is negative, nowhere on the paper's table: b's step with its upper
-    bound cut to -1 reaches a key iff a key breaks the cover.  At each row
-    end ``close`` files each key's slice; each must lie in [0, t], no two equal.
+    So the probe checks a cover at b's cell only where the scan hands it a
+    negative lower bound for b's step: there b's step with its upper bound
+    cut to -1 reaches a key iff a key breaks the cover.  At each row end
+    ``close`` files each key's slice; each must lie in [0, t], no two equal.
 
     count is the number of points.  valid says that no key broke the range
     or a cover, so every point's corner sums on the cells, plus 1, are an
     order-preserving map into {1, ..., t + 1}; distinct, that at every row
     end the slice determines the key, so those maps are distinct.
     """
-    n, table, lows = poly.n, poly._bounds(), {}
+    n, lows = poly.n, {}
     for a, b in P.covers:
         i, c = P.elements[b]
         # The index of the lower bound of b's step from a: lo_v from the west, lo_h from the north.
-        k, lo = (i - 1) * n + c - 1, 2 if P.elements[a][0] == i else 0
-        if t * table[lo][k] < 0:
-            lows.setdefault(k, []).append(lo)
+        lows.setdefault((i - 1) * n + c - 1, []).append(2 if P.elements[a][0] == i else 0)
     cols = [r.cols for r in poly._row_layout()]
     slices: list[list[tuple[int, ...]]] = [[] for _ in cols]
     broken = False
@@ -121,15 +120,16 @@ def _census(poly: PasmPolytope, P: SkewPoset, t: int) -> tuple[int, bool, bool]:
     def probe(k, bounds, step):
         nonlocal broken
         for lo in lows.get(k, ()):
-            cut = list(bounds)
-            cut[lo + 1] = min(cut[lo + 1], -1)
-            broken = broken or bool(step(*cut))
+            if bounds[lo] < 0:
+                cut = list(bounds)
+                cut[lo + 1] = min(cut[lo + 1], -1)
+                broken = broken or bool(step(*cut))
 
     def close(count, i, after):
         slices[i].append(after[cols[i]])
         return count
 
-    count = sum(poly._scan(t, 1, close, probe if lows else None))
+    count = sum(poly._scan(t, 1, close, probe))
     values = list(chain.from_iterable(chain.from_iterable(slices)))
     valid = not broken and (not values or (0 <= min(values) and max(values) <= t))
     return count, valid, all(len(set(row)) == len(row) for row in slices)
@@ -143,17 +143,19 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
     order: corner sums of points against order-preserving maps of the cell
     poset, counted once for each t.  Checks, all exact:
 
-    * every vertex V, the profile of a partition between lam and nu,
-      survives the round trip ``from_order_point(to_order_point(V)) == V``:
-      V is within the inequality description, and its image goes back to V
+    * every vertex V, the profile of a partition between lam and nu, is
+      within the inequality description, and its corner sums go back to V
       through the inverse kernel of :func:`from_order_point`.  Both are
       checked once per edge (i, mu_i, mu_{i+1}) of the row-pair graph, whose
-      paths are the vertices: the row's bounds, its corner-sum row, and the
-      inverse of its completed corner-sum row under the completed one above,
-      which must give back the row.  Both maps are affine and the vertices
-      span the affine hull, so the corner-sum map is injective on the hull
-      with an integral affine inverse.  The counterexample is the first
-      vertex of ``poly.vertices()`` through a failed edge;
+      paths are the vertices: the row's bounds give its column sums, and
+      the inverse of their accumulation under that of the sums above must
+      give back the row.  With the unit vector at mu_i as column sums, these
+      are the corner-sum rows in the 0/1 completion of
+      :func:`from_order_point`, not read by :func:`to_order_point`.  Both
+      maps are affine and the vertices span the affine hull, so the
+      corner-sum map is injective on the hull with an integral affine
+      inverse.  The counterexample is the first vertex of
+      ``poly.vertices()`` through a failed edge;
     * the paths, distinct int vertices by construction, are as many as the
       order-preserving maps into {1, 2}.  The round trip puts them among the
       integer points of the t = 1 dilate, so once the census finds as many
@@ -190,38 +192,35 @@ def certify_integral_equivalence(poly: PasmPolytope, t_max: int) -> dict:
         return report
 
     # Round trip of every vertex on the row-pair graph.  Layer i maps each
-    # value a of mu_i (mu_0 = n) to the state above row i (column sums and
-    # completed corner-sum row) and its number of paths; each edge b in
-    # [lam_{i+1}, min(nu_{i+1}, a)] is one row step.  A step gives the state
-    # after the row, which depends on b alone; a failed step is ().
+    # value a of mu_i (mu_0 = n) to the column sums above row i and its
+    # number of paths; each edge b in [lam_{i+1}, min(nu_{i+1}, a)] is one
+    # row step.  A step gives the column sums after the row, e_b, whose
+    # accumulation is the completed corner-sum row, or None if it fails.
     m, n, layout = poly.m, poly.n, poly._row_layout()
     bounds, lam = _row_bounds(poly._bounds(), n), [r.cols.start for r in layout]
 
-    def step(i: int, above: tuple[int, ...], completed: tuple[int, ...], row: tuple[int, ...]) -> tuple:
-        sums = _row_within(bounds[i], above, row)
-        if sums is None:
-            return ()
-        r = layout[i]
-        corner = r.zeros + tuple(accumulate(sums))[r.cols] + r.ones
-        if _inverse_corner_row(corner, completed) != row:
-            return ()
-        return sums, corner
+    def step(i: int, above: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...] | None:
+        sums, r = _row_within(bounds[i], above, row), layout[i]
+        if sums is None or _inverse_corner_row(r.zeros + tuple(accumulate(sums))[r.cols] + r.ones,
+                                               tuple(accumulate(above))) != row:
+            return None
+        return sums
 
-    layer, failed = {n: ((0,) * n, (0,) * n, 1)}, []
+    layer, failed = {n: ((0,) * n, 1)}, []
     for i, r in enumerate(layout):
         reached: dict = {}
-        for a, (above, completed, paths) in layer.items():
+        for a, (above, paths) in layer.items():
             for b in range(lam[i], min(r.cols.stop, a) + 1):
-                done = step(i, above, completed, _profile_row(a, b, n))
-                if done:
-                    reached[b] = (*done, reached[b][2] + paths if b in reached else paths)
+                sums = step(i, above, _profile_row(a, b, n))
+                if sums is not None:
+                    reached[b] = (sums, reached[b][1] + paths if b in reached else paths)
                 else:
                     # The least mu through the edge: earlier parts max(lam_k, a), later ones lam_k.
                     failed.append([max(x, a) for x in lam[:i]] + [b] + lam[i + 1:])
         layer = reached
     if failed:
         return fail("affine_unimodular", {"vertex": vertex_matrix(Partition(min(failed)), m, n).to_json_dict()})
-    vertices = sum(paths for _, _, paths in layer.values())
+    vertices = sum(paths for _, paths in layer.values())
 
     # The census counts the points and checks their images, each point's
     # corner sums on the cells lifted by 1 into {1, ..., t + 1}; the maps

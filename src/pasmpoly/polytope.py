@@ -26,10 +26,10 @@ enumerate_between: a step raises one part mu_k and resets the later parts
 to lam, so only the profile rows from k on change.  vertices() builds each
 distinct row once, keyed by its two parts (_profile_row); the certificate
 checks each pair once per row, as an edge of its row-pair graph.  The
-dimension is the sparse rank of the first vertex and the distinct
-differences of consecutive vertices, taken on the changed rows alone.  A
-step's difference depends on (k, mu_k) alone, so one is built per key, at
-most |nu/lam| of them, and the walk itself is the remaining cost.
+dimension is the sparse rank of the first vertex and the differences of
+consecutive vertices, taken on the changed rows alone.  A step's
+difference depends on (k, mu_k) alone and starts at (k, mu_k), so one is
+built per key, |nu/lam| distinct ones, and the walk is the remaining cost.
 
 The t-th dilate scales the bounds by t.  Its integer points are scanned
 one cell at a time in row-major order (the transfer-matrix method).  The
@@ -191,16 +191,16 @@ class PasmPolytope:
         origin and the linear span of the vertices is one dimension larger:
         the dimension is the rank of the vertices, minus 1.
 
-        The rank gets the first vertex and the distinct differences of
-        consecutive vertices in walk order, as sparse rows {i * n + j:
-        entry}; they span what the vertices span.  A step raises part k
-        from mu_k and resets the later parts to lam.  Each later part was
-        at its largest, the smaller of its part of nu and the part above,
-        so mu_k fixes them all, and row k changes by -1 at mu_k and +1 at
-        mu_k + 1 whatever the part above it.  So the difference, taken on
-        the rows from k on, depends on (k, mu_k) alone: it is built once
-        per key, the first time the key comes up, and at most |nu/lam| keys
-        do.  What remains is the walk itself, one step per vertex.
+        The rank gets the first vertex and the differences of consecutive
+        vertices in walk order, as sparse rows {i * n + j: entry}; they
+        span what the vertices span.  A step raises part k from mu_k and
+        resets the later parts to lam.  Each later part was at its largest,
+        the smaller of its part of nu and the part above, so mu_k fixes them
+        all, and row k changes by -1 at mu_k and +1 at mu_k + 1 whatever
+        the part above it.  So the difference, taken on the rows from k on,
+        depends on (k, mu_k) alone and starts at (k, mu_k): one is built per
+        key, when the key first comes up, |nu/lam| distinct rows.  What
+        remains is the walk itself, one step per vertex.
         """
         m, n = self.m, self.n
 
@@ -221,9 +221,9 @@ class PasmPolytope:
                 # difference of their items, once or, where the entry flips
                 # sign, twice.
                 a, b = tail(old, k), tail(mu, k)
-                steps[k, old[k]] = frozenset([(j, b.get(j, 0) - a.get(j, 0)) for j, _ in a.items() ^ b.items()])
+                steps[k, old[k]] = {j: b.get(j, 0) - a.get(j, 0) for j, _ in a.items() ^ b.items()}
             old = mu
-        return rank([first, *map(dict, set(steps.values()))]) - 1
+        return rank([first, *steps.values()]) - 1
 
     def _check_dilate(self, t: int) -> None:
         """The one guardrail of the integer-point scan; it refuses only t >= 2.

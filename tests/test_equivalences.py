@@ -288,25 +288,52 @@ def test_census_matches_the_listing_in_three_boxes():
 _BOUND_PAIRS = [(-1, 1), (-1, 0), (0, 0), (1, 1), (0, 1), (1, 2), (0, 2)]
 
 
+def _single_edge_mutants(shape):
+    """Each (edge, lo, hi) of shape's polytope, an H or V edge and a bound
+    pair, with the bound lists that set the edge to it, where they differ
+    from the paper's table."""
+    poly = PasmPolytope(shape)
+    table = poly._bounds()
+    for edge in [(kind, i, j) for kind in "HV" for i in range(1, shape.m + 1) for j in range(1, shape.n + 1)]:
+        for lo, hi in _BOUND_PAIRS:
+            mutant = narrowed_bounds(poly, edge, lo, hi)
+            if mutant != table:
+                yield (edge, lo, hi), mutant
+
+
 def test_census_matches_the_origin_census_on_single_edge_mutants():
     # Every H and V edge of every shape of up to 5 cells, set to each bound
     # pair: the count walk, which checks each cover at the cell that ends
     # it, reports what the census of origin lists reports.
     mutants = 0
     for shape in all_skew_shapes(5):
-        poly, P = PasmPolytope(shape), build_poset(shape)
-        table = poly._bounds()
-        edges = [(kind, i, j) for kind in "HV" for i in range(1, shape.m + 1) for j in range(1, shape.n + 1)]
-        for edge in edges:
-            for lo, hi in _BOUND_PAIRS:
-                mutant = narrowed_bounds(poly, edge, lo, hi)
-                if mutant == table:
-                    continue
-                mutants += 1
-                mutated = TablePolytope(shape, mutant)
-                for t in (1, 2):
-                    assert _census(mutated, P, t) == origin_census(mutated, P, t), (shape, edge, lo, hi, t)
+        P = build_poset(shape)
+        for (edge, lo, hi), mutant in _single_edge_mutants(shape):
+            mutants += 1
+            mutated = TablePolytope(shape, mutant)
+            for t in (1, 2):
+                assert _census(mutated, P, t) == origin_census(mutated, P, t), (shape, edge, lo, hi, t)
     assert mutants == 15192
+
+
+def test_census_probes_the_bounds_the_scan_walks(monkeypatch):
+    # The scan walks a single-edge mutant while _bounds() stays the paper's
+    # table: the census probes the dilated bounds that the scan hands it,
+    # so it still reports what the census of origin reports on that walk.
+    # A census that read _bounds() itself would miss the mutant's negative
+    # lower bounds: on (1,1) in the 3 x 2 box with H(2, 1) in [-1, 1], it
+    # gives (4, True, True) against (4, False, True) at t = 1.
+    real, cases = PasmPolytope._scan, 0
+    # Every scan walks the table of ``walked``, whatever the polytope.
+    monkeypatch.setattr(PasmPolytope, "_scan", lambda self, *args: real(walked, *args))
+    for shape in all_skew_shapes(4):
+        poly, P = PasmPolytope(shape), build_poset(shape)
+        for (edge, lo, hi), mutant in _single_edge_mutants(shape):
+            walked = TablePolytope(shape, mutant)
+            for t in (1, 2):
+                cases += 1
+                assert _census(poly, P, t) == origin_census(poly, P, t), (shape, edge, lo, hi, t)
+    assert cases == 11424
 
 
 def test_census_matches_the_origin_census_with_both_steps_of_a_cell_set():

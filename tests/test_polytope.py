@@ -608,14 +608,17 @@ def _walk_steps(shape: SkewShape) -> tuple[list, list]:
 
 
 def _assert_one_difference_per_key(shape: SkewShape) -> None:
-    # Two steps with the same (k, mu_k) have the same difference, and the
-    # rows dimension() ranks are the first vertex and, keyed by (k, mu_k),
-    # exactly the value-deduped set of all consecutive differences, one per
-    # key.
+    # Two steps with the same (k, mu_k) have the same difference, two with
+    # different keys have different ones, and there are |nu/lam| keys.  So
+    # the rows dimension() ranks, the first vertex and one difference per
+    # key, are the first vertex and every distinct consecutive difference,
+    # each once.
     first, steps = _walk_steps(shape)
     by_key = {}
     for key, diff in steps:
         assert by_key.setdefault(key, diff) == diff, (shape, key)
+    assert len(by_key) == shape.size, shape
+    assert len(set(by_key.values())) == len(by_key), shape
     ranked = []
 
     def spy(rows):
