@@ -11,7 +11,7 @@ from itertools import accumulate, chain
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .shapes import Partition
+from .shapes import Partition, _int
 
 Scalar = int | Fraction
 
@@ -88,8 +88,14 @@ class Matrix:
                     raise ValueError(f"bad matrix entry {x!r}: zero denominator") from None
             raise TypeError(f"bad matrix entry {x!r}")
 
-        mat = cls([[dec(x) for x in row] for row in data["entries"]])
-        if mat.m != data.get("m", mat.m) or mat.n != data.get("n", mat.n):
+        rows = data["entries"]
+        if not isinstance(rows, (list, tuple)):
+            raise TypeError(f"matrix entries must be a list of rows, got {rows!r}")
+        for i, row in enumerate(rows, 1):
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"bad matrix row {i}: {row!r} is not a list")
+        mat = cls([[dec(x) for x in row] for row in rows])
+        if mat.m != _int(data.get("m", mat.m), "m") or mat.n != _int(data.get("n", mat.n), "n"):
             raise ValueError("entry grid does not match declared dimensions")
         return mat
 

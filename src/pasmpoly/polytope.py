@@ -31,23 +31,24 @@ consecutive vertices, taken on the changed rows alone.  A step's
 difference depends on (k, mu_k) alone and starts at (k, mu_k), so one is
 built per key, |nu/lam| distinct ones, and the walk is the remaining cost.
 
-The t-th dilate scales the bounds by t.  Its integer points are scanned
-one cell at a time in row-major order (the transfer-matrix method).  The
-corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, is complete after row i,
-and every bound is on a difference of two corner sums: H(i, j) = C(i, j) -
-C(i - 1, j) against the row above, V(i, j) = C(i, j) - C(i, j - 1) against
-the west neighbour.  So the key after cell (i, j), packed into one int, is
-C(i, 1..j) followed by C(i - 1, j + 1..n), and each entry is drawn from its
-H interval over the old entry it replaces and its V step from the new entry
-before it.  The walk keeps, for each key, one payload for all the point
-prefixes that reach it, their paths of corner-sum rows or their number, and
-keys that meet add up their payloads.  At the end of each row a hook
-extends each key's payload once, so no frame is resumed per point: a
-point's rows are the finite differences of its corner-sum rows.  The points
-come out grouped by key; dilate_integer_points sorts them into row-major
-lexicographic order at the end.  At t = 1 the points are the vertices, so
-the scan doubles as a check of the inequality description; only dilates
-with t >= 2 pass a guardrail.
+The scan, _scan, walks the t-th dilate of the bound table it is handed,
+so a caller that checks the walk reads the same table.  Its integer points
+are scanned one cell at a time in row-major order (the transfer-matrix
+method).  The corner-sum row C(i, .), with C(0, .) = C(., 0) = 0, is
+complete after row i, and every bound is on a difference of two corner
+sums: H(i, j) = C(i, j) - C(i - 1, j) against the row above, V(i, j) =
+C(i, j) - C(i, j - 1) against the west neighbour.  So the key after cell
+(i, j), packed into one int, is C(i, 1..j) followed by C(i - 1, j + 1..n),
+and each entry is drawn from its H interval over the old entry it
+replaces and its V step from the new entry before it.  The walk keeps, for
+each key, one payload for all the point prefixes that reach it, their
+paths of corner-sum rows or their number, and keys that meet add up their
+payloads.  At the end of each row a hook extends each key's payload once,
+so no frame is resumed per point: a point's rows are the finite
+differences of its corner-sum rows.  The points come out grouped by key;
+dilate_integer_points sorts them into row-major lexicographic order at the
+end.  At t = 1 the points are the vertices, so the scan doubles as a check
+of the inequality description; only dilates with t >= 2 pass a guardrail.
 """
 
 from __future__ import annotations
@@ -154,36 +155,6 @@ class PasmPolytope:
             verts.append(Matrix._of_ints(rows))
         return verts
 
-    def _scan(self, t: int, seed, close, probe=None) -> list:
-        """The payloads of the t-dilate's integer points after its cell walk,
-        one per corner-sum row after the last row, in the order reached.
-
-        The walk moves a dict from each key to one payload for all the point
-        prefixes that reach it, from ``seed`` at the zero key, through the
-        cells in row-major order with _cell.  Bits j * w to j * w + w - 1 of
-        a key hold C(., j) plus a bias, C(., 0) = 0 included; each corner sum
-        is a column prefix sum of H, and those of the H bounds give the bias
-        and w.  At the end of row i (0-based), close(payload, i, after)
-        extends the payload by the row, with the key decoded into ``after`` =
-        C(i, .).  probe(k, bounds, step), if given, runs before cell k (row-major,
-        0-based) with its dilated bounds; step(*cut) steps the keys through it.
-        """
-        m, n = self.m, self.n
-        lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in self._bounds())
-        bias = -min(0, *(min(accumulate(lo_h[j::n])) for j in range(n)))
-        w = (max(0, *(max(accumulate(hi_h[j::n])) for j in range(n))) + bias).bit_length() or 1
-        mask, shifts = (1 << w) - 1, range(w, (n + 1) * w, w)
-        keys = {sum([bias << s for s in range(0, (n + 1) * w, w)]): seed}
-        cells = list(zip(lo_h, hi_h, lo_v, hi_v))
-        for i in range(m):
-            for s, k in zip(shifts, range(i * n, (i + 1) * n)):
-                if probe:
-                    probe(k, cells[k], lambda *cut: _cell(keys, s, w, mask, *cut))
-                keys = _cell(keys, s, w, mask, *cells[k])
-            keys = {key: close(payload, i, tuple([(key >> s & mask) - bias for s in shifts]))
-                    for key, payload in keys.items()}
-        return list(keys.values())
-
     def dimension(self) -> int:
         """Affine dimension of the vertex set, by exact rank computation.
 
@@ -254,7 +225,7 @@ class PasmPolytope:
         """Number of integer matrices in the t-th dilate, by the cell walk
         of the scan with one count per key: no point is listed."""
         self._check_dilate(t)
-        return DilateCount(t, sum(self._scan(t, 1, lambda count, i, after: count)))
+        return DilateCount(t, sum(_scan(self._bounds(), self.n, t, 1, lambda count, i, after: count)))
 
     def dilate_integer_points(self, t: int) -> list[Matrix]:
         """The integer matrices of the t-th dilate themselves, in
@@ -262,12 +233,40 @@ class PasmPolytope:
         path of corner-sum rows; its rows are their finite differences, and
         the points are sorted once at the end."""
         self._check_dilate(t)
-        paths = self._scan(t, [()], lambda paths, i, after: [path + (after,) for path in paths])
+        paths = _scan(self._bounds(), self.n, t, [()], lambda ps, i, after: [p + (after,) for p in ps])
         return [Matrix._of_ints(rows)
                 for rows in sorted(map(_inverse_corner_rows, chain.from_iterable(paths)))]
 
     def __repr__(self) -> str:
         return f"PasmPolytope({self.shape!r})"
+
+
+def _scan(table: tuple[list[int], ...], n: int, t: int, seed, close, probe=None) -> list:
+    """The payloads of the integer points of the t-dilate of a bound table
+    of n columns, as PasmPolytope._bounds gives it, after the cell walk of
+    the module docstring from ``seed`` at the zero key: one per corner-sum
+    row after the last row, in the order reached.  Bits j * w to
+    j * w + w - 1 of a key hold C(., j) plus a bias, C(., 0) = 0 included;
+    each corner sum is a column prefix sum of H, and those of the H bounds
+    give the bias and w.  At the end of row i (0-based), close(payload, i,
+    after) extends the payload by the row, with ``after`` = C(i, .).
+    probe(k, step), if given, runs before cell k (row-major, 0-based);
+    step(*bounds) steps the keys through it under dilated bounds.
+    """
+    lo_h, hi_h, lo_v, hi_v = ([t * x for x in xs] for xs in table)
+    bias = -min(0, *(min(accumulate(lo_h[j::n])) for j in range(n)))
+    w = (max(0, *(max(accumulate(hi_h[j::n])) for j in range(n))) + bias).bit_length() or 1
+    mask, shifts = (1 << w) - 1, range(w, (n + 1) * w, w)
+    keys = {sum([bias << s for s in range(0, (n + 1) * w, w)]): seed}
+    cells = list(zip(lo_h, hi_h, lo_v, hi_v))
+    for i in range(len(cells) // n):
+        for s, k in zip(shifts, range(i * n, (i + 1) * n)):
+            if probe:
+                probe(k, lambda *cut: _cell(keys, s, w, mask, *cut))
+            keys = _cell(keys, s, w, mask, *cells[k])
+        keys = {key: close(payload, i, tuple([(key >> s & mask) - bias for s in shifts]))
+                for key, payload in keys.items()}
+    return list(keys.values())
 
 
 def _cell(keys: dict, s: int, w: int, mask: int, lo_h: int, hi_h: int, lo_v: int, hi_v: int) -> dict:

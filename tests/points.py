@@ -9,6 +9,7 @@ of its points or by the census of origin lists it replaced."""
 from fractions import Fraction
 
 from pasmpoly import Matrix, PasmPolytope, build_poset
+from pasmpoly.polytope import _scan
 from pasmpoly.skewposet import enumerate_order_preserving_maps
 
 
@@ -123,5 +124,5 @@ def origin_census(poly, P, t: int) -> tuple[int, bool, bool]:
             valid = False
         return [(s, sum([count for _, count in origins]))]
 
-    ends = poly._scan(t, [((), 1)], close)
+    ends = _scan(poly._bounds(), poly.n, t, [((), 1)], close)
     return sum(count for payload in ends for _, count in payload), valid, distinct

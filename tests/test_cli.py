@@ -209,6 +209,18 @@ def test_matrix_with_float_entry_is_a_usage_error(tmp_path, capsys):
     assert captured.err == f"error: cannot read matrix from {src}: bad matrix entry 0.5\n"
 
 
+def test_matrix_with_string_rows_is_a_usage_error(tmp_path, capsys):
+    # Each string row would be taken apart into its digits: ["10", "01"]
+    # is not the 2 x 2 identity.
+    src = tmp_path / "matrix.json"
+    src.write_text('{"entries": ["10", "01"]}')
+    code = main(["phi", "--matrix", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read matrix from {src}: bad matrix row 1: '10' is not a list\n"
+
+
 def test_phi(tmp_path, capsys):
     src = tmp_path / "matrix.json"
     src.write_text(json.dumps(PARTIAL_4.to_json_dict()))

@@ -316,24 +316,26 @@ def test_census_matches_the_origin_census_on_single_edge_mutants():
     assert mutants == 15192
 
 
-def test_census_probes_the_bounds_the_scan_walks(monkeypatch):
-    # The scan walks a single-edge mutant while _bounds() stays the paper's
-    # table: the census probes the dilated bounds that the scan hands it,
-    # so it still reports what the census of origin reports on that walk.
-    # A census that read _bounds() itself would miss the mutant's negative
-    # lower bounds: on (1,1) in the 3 x 2 box with H(2, 1) in [-1, 1], it
-    # gives (4, True, True) against (4, False, True) at t = 1.
-    real, cases = PasmPolytope._scan, 0
-    # Every scan walks the table of ``walked``, whatever the polytope.
-    monkeypatch.setattr(PasmPolytope, "_scan", lambda self, *args: real(walked, *args))
-    for shape in all_skew_shapes(4):
-        poly, P = PasmPolytope(shape), build_poset(shape)
-        for (edge, lo, hi), mutant in _single_edge_mutants(shape):
-            walked = TablePolytope(shape, mutant)
-            for t in (1, 2):
-                cases += 1
-                assert _census(poly, P, t) == origin_census(poly, P, t), (shape, edge, lo, hi, t)
-    assert cases == 11424
+def test_the_census_probes_only_where_its_table_lets_a_cover_step_go_negative(monkeypatch):
+    # The census hands the scan the table it read and a probe only where a
+    # dilated lower bound on a cover's step is negative.  The paper's lower
+    # bounds are 0 or 1, so no probe is handed on any shape; H(3, 2) in
+    # [-1, 1] on (4,2,2)/(3,1) gets one at t >= 1, and none at t = 0.
+    real, probes = equivalences._scan, []
+
+    def recorded(table, n, t, seed, close, probe=None):
+        probes.append(probe)
+        return real(table, n, t, seed, close, probe)
+
+    monkeypatch.setattr(equivalences, "_scan", recorded)
+    for shape in chain.from_iterable(map(in_three_boxes, all_skew_shapes(6))):
+        for t in range(3):
+            _census_of(PasmPolytope(shape), t)
+    assert probes and all(probe is None for probe in probes)
+    probes.clear()
+    widened = TablePolytope(EXAMPLE, narrowed_bounds(example_polytope(), ("H", 3, 2), -1, 1))
+    assert [_census_of(widened, t)[1] for t in range(3)] == [True, False, False]
+    assert probes[0] is None and all(callable(probe) for probe in probes[1:])
 
 
 def test_census_matches_the_origin_census_with_both_steps_of_a_cell_set():

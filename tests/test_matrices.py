@@ -209,6 +209,8 @@ def test_json_round_trip():
     assert data["entries"][0][0] == "7/10"
     assert data["entries"][0][1] == 1
     assert Matrix.from_json_dict(data) == M
+    # Python callers may pass tuples for the entries and their rows.
+    assert Matrix.from_json_dict({"m": 1, "n": 2, "entries": ((1, 0),)}) == Matrix([[1, 0]])
 
 
 def test_json_rejects_zero_denominator():
@@ -219,3 +221,17 @@ def test_json_rejects_zero_denominator():
 def test_json_rejects_inconsistent_dims():
     with pytest.raises(ValueError):
         Matrix.from_json_dict({"m": 3, "n": 2, "entries": [[1, 0], [0, 1]]})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"entries": ["10", "01"]}, "bad matrix row 1: '10'"),
+    ({"entries": [{"1": 0, "0": 1}]}, "bad matrix row 1: {'1': 0, '0': 1}"),
+    ({"entries": "12"}, "entries must be a list of rows, got '12'"),
+    ({"m": True, "entries": [[1, 0]]}, "m must be an int, got bool"),
+], ids=["string rows", "object row", "string entries", "bool m"])
+def test_json_rejects_rows_that_are_not_lists_and_dims_that_are_not_ints(data, message):
+    # A string or an object would be taken apart into a row of its
+    # characters or keys, and True == 1 would pass the check of m.
+    with pytest.raises(TypeError) as info:
+        Matrix.from_json_dict(data)
+    assert message in str(info.value)

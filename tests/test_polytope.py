@@ -27,7 +27,7 @@ from pasmpoly._linalg import rank
 from pasmpoly.equivalences import _census, _corner_image
 from pasmpoly.facelattice import Edge
 from pasmpoly.matrices import _corner_rows
-from pasmpoly.polytope import DILATE_SIZE_LIMIT, _within
+from pasmpoly.polytope import DILATE_SIZE_LIMIT, _scan, _within
 from pasmpoly.skewposet import order_polynomial_values
 
 from families import all_skew_shapes, in_three_boxes, staircase
@@ -481,7 +481,7 @@ def test_t_one_scan_states_are_corner_sum_steps(monkeypatch):
             return count
 
         held.clear()
-        PasmPolytope(shape)._scan(1, 1, close)
+        _scan(PasmPolytope(shape)._bounds(), n, 1, 1, close)
         assert all(levels) and all(level <= steps for level in levels), shape
         assert len(held) == shape.m * n and max(held) <= (n + 1) * (n + 2) // 2, shape
 
@@ -494,7 +494,8 @@ def test_count_walk_beyond_the_guardrail():
         assert shape.size > DILATE_SIZE_LIMIT
         poly, values = PasmPolytope(shape), order_polynomial_values(build_poset(shape), t_max + 1)
         for t in range(t_max + 1):
-            assert sum(poly._scan(t, 1, lambda count, i, after: count)) == values[t], (nu, t)
+            counts = _scan(poly._bounds(), poly.n, t, 1, lambda count, i, after: count)
+            assert sum(counts) == values[t], (nu, t)
     assert values[2] == 118195220
 
 
@@ -504,7 +505,7 @@ def test_count_walk_with_wide_fields():
     shape = SkewShape(Partition([2, 1]), Partition())
     poly, P = PasmPolytope(shape), build_poset(shape)
     omega = order_polynomial_values(P, 41)[40]
-    assert sum(poly._scan(40, 1, lambda count, i, after: count)) == omega
+    assert sum(_scan(poly._bounds(), poly.n, 40, 1, lambda count, i, after: count)) == omega
     assert _census(poly, P, 40) == (omega, True, True)
 
 
