@@ -65,7 +65,7 @@ def _load_matrix(path: str) -> Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return Matrix.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ValueError(f"cannot read matrix from {path}: {exc}") from exc
 
 

@@ -78,6 +78,8 @@ class Matrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Matrix":
+        """The matrix that :meth:`to_json_dict` wrote as data.  Malformed
+        data raises TypeError or ValueError, naming the field at fault."""
         def dec(x) -> Scalar:
             if isinstance(x, int):
                 return x
@@ -88,6 +90,10 @@ class Matrix:
                     raise ValueError(f"bad matrix entry {x!r}: zero denominator") from None
             raise TypeError(f"bad matrix entry {x!r}")
 
+        if not isinstance(data, dict):
+            raise TypeError(f"matrix must be an object with entries, got {type(data).__name__}")
+        if "entries" not in data:
+            raise ValueError("matrix has no entries field")
         rows = data["entries"]
         if not isinstance(rows, (list, tuple)):
             raise TypeError(f"matrix entries must be a list of rows, got {rows!r}")

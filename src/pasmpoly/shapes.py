@@ -13,10 +13,14 @@ Cell = tuple[int, int]
 
 
 def _int(x, what: str) -> int:
-    """x read through operator.index: a non-integer or a bool raises TypeError."""
-    if isinstance(x, bool):
-        raise TypeError(f"{what} must be an int, got bool")
-    return index(x)
+    """x read through operator.index: a non-integer or a bool raises a
+    TypeError that names what and the type of x."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an int, got {type(x).__name__}")
 
 
 class Partition:

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 import pasmpoly.cli
 import pasmpoly.hooklength
 import pasmpoly.skewposet
@@ -219,6 +221,22 @@ def test_matrix_with_string_rows_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: cannot read matrix from {src}: bad matrix row 1: '10' is not a list\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[[1, 0], [0, 1]]', "matrix must be an object with entries, got list"),
+    ('{"m": "2", "n": 2, "entries": [[1, 0], [0, 1]]}', "m must be an int, got str"),
+    ('{"m": 2.0, "n": 2, "entries": [[1, 0], [0, 1]]}', "m must be an int, got float"),
+    ('{"m": 2}', "matrix has no entries field"),
+], ids=["top-level list", "string m", "float m", "no entries"])
+def test_malformed_matrix_file_names_the_field(tmp_path, capsys, text, message):
+    src = tmp_path / "matrix.json"
+    src.write_text(text)
+    code = main(["phi", "--matrix", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read matrix from {src}: {message}\n"
 
 
 def test_phi(tmp_path, capsys):

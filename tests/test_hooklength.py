@@ -16,6 +16,7 @@ from pasmpoly import (
 )
 from pasmpoly.hooklength import _hook_sum
 from pasmpoly.shapes import contains, enumerate_between
+from pasmpoly.skewposet import _aitken_count
 
 from families import all_skew_shapes, partitions_of_size_at_most
 
@@ -161,11 +162,38 @@ def test_excited_diagrams_match_oracle_sweep():
 
 def test_row_transfer_matches_the_excited_diagram_sum():
     # The row transfer against the diagrams listed one by one, before the
-    # division that could hide a wrong sum behind an integer quotient.
+    # division that could hide a wrong sum behind an integer quotient.  The
+    # diagrams of lam' in nu' are the transposes of those of lam in nu, with
+    # the same hook products, so the transfer on the conjugates reads the
+    # same sum.
     for shape in all_skew_shapes(7):
         h = hooks(shape.nu)
         expected = sum(prod(h[c] for c in D) for D in excited_diagrams(shape.nu, shape.lam))
         assert _hook_sum(shape.nu, shape.lam, h) == expected, shape
+        nu, lam = shape.nu.conjugate(), shape.lam.conjugate()
+        assert _hook_sum(nu, lam, hooks(nu)) == expected, shape
+
+
+@pytest.mark.parametrize("nu, lam, conjugated", [
+    ([9] * 6, [4, 4, 4], True),                # 231 states against 80
+    ([8] * 6, [4, 4, 4], True),                # 175 against 80
+    ([20] * 19, [12, 9, 9, 5, 3, 1], True),    # 478 088 against 60 229
+    ([20] * 19, [1] * 12, False),              # 162 against 50 388
+    ([7] * 7, [6, 3, 3, 3, 1], False),         # 100 against 100: a tie keeps the rows
+])
+def test_naruse_count_runs_the_transfer_on_the_orientation_with_fewer_states(
+        monkeypatch, nu, lam, conjugated):
+    nu, lam = Partition(nu), Partition(lam)
+    calls = []
+
+    def recording(nu, lam, h):
+        calls.append((nu, lam, h))
+        return _hook_sum(nu, lam, h)
+
+    monkeypatch.setattr(pasmpoly.hooklength, "_hook_sum", recording)
+    naruse_count(nu, lam)
+    want = (nu.conjugate(), lam.conjugate()) if conjugated else (nu, lam)
+    assert calls == [(*want, hooks(want[0]))]
 
 
 @pytest.mark.parametrize("nu, lam", [
@@ -177,6 +205,14 @@ def test_row_transfer_matches_the_excited_diagram_sum():
 def test_naruse_count_beyond_the_enumeration(nu, lam):
     nu, lam = Partition(nu), Partition(lam)
     assert naruse_count(nu, lam) == count_linear_extensions(build_poset(SkewShape(nu, lam)))
+
+
+@pytest.mark.parametrize("lam", [[12, 9, 9, 5, 3, 1], [15, 15]])
+def test_naruse_count_matches_aitken_on_twenty_to_the_nineteen(lam):
+    # 380 cells, far past any enumeration: the two volume methods of the
+    # CLI against each other.
+    nu, lam = Partition([20] * 19), Partition(lam)
+    assert naruse_count(nu, lam) == _aitken_count(nu, lam)
 
 
 def test_naruse_count_rejects_non_nested():

@@ -228,10 +228,18 @@ def test_json_rejects_inconsistent_dims():
     ({"entries": [{"1": 0, "0": 1}]}, "bad matrix row 1: {'1': 0, '0': 1}"),
     ({"entries": "12"}, "entries must be a list of rows, got '12'"),
     ({"m": True, "entries": [[1, 0]]}, "m must be an int, got bool"),
-], ids=["string rows", "object row", "string entries", "bool m"])
+    ({"m": "1", "entries": [[1, 0]]}, "m must be an int, got str"),
+    ({"n": 2.0, "entries": [[1, 0]]}, "n must be an int, got float"),
+    ([[1, 0], [0, 1]], "matrix must be an object with entries, got list"),
+], ids=["string rows", "object row", "string entries", "bool m", "string m", "float n", "list"])
 def test_json_rejects_rows_that_are_not_lists_and_dims_that_are_not_ints(data, message):
     # A string or an object would be taken apart into a row of its
     # characters or keys, and True == 1 would pass the check of m.
     with pytest.raises(TypeError) as info:
         Matrix.from_json_dict(data)
     assert message in str(info.value)
+
+
+def test_json_rejects_a_matrix_without_entries():
+    with pytest.raises(ValueError, match="matrix has no entries field"):
+        Matrix.from_json_dict({"m": 2})

@@ -1,6 +1,6 @@
 """Timings of the bench ladder: every CLI subcommand on each ladder shape,
-``dim`` at four frontier shapes, and the certificate's dilate census at
-four points past the guardrail.
+``dim`` at four frontier shapes, ``volume`` at two, and the certificate's
+dilate census at four points past the guardrail.
 
     python tools/ladder.py [--src NAME=PATH ...] > BENCH_<pr>.json
 
@@ -13,10 +13,10 @@ tree alternating from round to round, so a slow spell of a shared host
 falls on both; the output keeps each operation's best over 9 rounds.
 ``main()`` calls capture their output; ``check`` and ``phi`` read the
 first vertex of the shape, the latter in a square box.  A ladder command's
-result is its exit code, a frontier ``dim``'s the dimension it prints.  The
-census times call ``equivalences._census`` directly.  The output is one
-JSON object; its ``machine`` entry names where it ran.  Standard library
-only.
+or a frontier ``volume``'s result is its exit code, a frontier ``dim``'s
+the dimension it prints.  The census times call ``equivalences._census``
+directly.  The output is one JSON object; its ``machine`` entry names
+where it ran.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import accumulate
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,9 +49,12 @@ COMMANDS = ("vertices", "check", "dim", "volume", "ehrhart", "face-labeling",
             "flow-graph", "phi", "certify")
 # nu: dim on the frontier shapes 10^9, 11^10, 60^4 and 200^3.
 DIM = ((10,) * 9, (11,) * 10, (60,) * 4, (200,) * 3)
+# (nu, lam): volume on 20^19/(12,9,9,5,3,1), whose hook transfer runs on the
+# conjugates, and on 9^8/(5,4,3,3), with 610 344 excited diagrams.
+VOLUME = (((20,) * 19, (12, 9, 9, 5, 3, 1)), ((9,) * 8, (5, 4, 3, 3)))
 # (nu, t): the census of the t-th dilate of nu, beyond the dilate guardrail.
 CENSUS = (((4, 4, 4), 8), ((6,) * 5, 4), ((9,) * 8, 2), ((12,) * 11, 2))
-OPERATIONS = len(LADDER) * len(COMMANDS) + len(DIM) + len(CENSUS)
+OPERATIONS = len(LADDER) * len(COMMANDS) + len(DIM) + len(VOLUME) + len(CENSUS)
 REPS = 3
 ROUNDS = 9
 
@@ -98,6 +102,10 @@ def _operations(src: str, tmp: str) -> list[tuple[dict, object]]:
                         lambda argv=argv: run(argv)))
     for nu in DIM:
         ops.append(({"shape": _label(nu), "d": sum(nu), "command": "dim"}, lambda nu=nu: dim(nu)))
+    for nu, lam in VOLUME:
+        argv = ["volume", "--nu", ",".join(map(str, nu)), "--lambda", ",".join(map(str, lam))]
+        ops.append(({"shape": _label(nu, lam), "d": sum(nu) - sum(lam), "command": "volume"},
+                    lambda argv=argv: run(argv)))
     for nu, t in CENSUS:
         shape = SkewShape(Partition(nu), Partition())
         poly, P = PasmPolytope(shape), build_poset(shape)
@@ -153,6 +161,9 @@ def main(argv=None) -> int:
         for proc in children.values():
             proc.stdin.close()
             proc.wait()
+    cuts = list(accumulate((len(LADDER) * len(COMMANDS), len(DIM), len(VOLUME), len(CENSUS)),
+                           initial=0))
+    groups = ("commands", "dim", "volume", "census")
     result = {
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
@@ -160,9 +171,7 @@ def main(argv=None) -> int:
                   f"{ROUNDS} rounds; the trees take each operation in turn; "
                   "CPU and wall seconds",
         "per_layer": "not recorded: per-layer timings of the ladder wait on ROADMAP item 10",
-        "trees": {name: {"commands": runs[:-len(DIM) - len(CENSUS)],
-                         "dim": runs[-len(DIM) - len(CENSUS):-len(CENSUS)],
-                         "census": runs[-len(CENSUS):]}
+        "trees": {name: {key: runs[a:b] for key, a, b in zip(groups, cuts, cuts[1:])}
                   for name, runs in best.items()},
     }
     print(json.dumps(result, indent=1))
