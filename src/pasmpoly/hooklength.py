@@ -31,17 +31,14 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
-from .shapes import Cell, Partition, contains
+from .shapes import Cell, Partition, _conjugate, contains
 
 
 def hooks(nu: Partition) -> dict[Cell, int]:
     """Hook number arm + leg + 1 for every cell of nu."""
-    conj = nu.conjugate()
-    return {
-        (i, j): nu.part(i) - j + conj.part(j) - i + 1
-        for i in range(1, len(nu) + 1)
-        for j in range(1, nu.part(i) + 1)
-    }
+    cols = _conjugate(nu.parts)
+    return {(i, j): p - j + cols[j - 1] - i + 1
+            for i, p in enumerate(nu.parts, 1) for j in range(1, p + 1)}
 
 
 def excited_diagrams(nu: Partition, lam: Partition) -> list[frozenset[Cell]]:
@@ -82,10 +79,11 @@ def _reach(rows: tuple[int, ...], i: int, m: int) -> int:
     return r
 
 
-def _states(nu: Partition, lam: Partition) -> int:
-    """The number of states :func:`_hook_sum` lists on (nu, lam): row i
-    has C(r + lam_i, lam_i), its shift vectors up to its reach r."""
-    return sum(comb(_reach(nu.parts, i, m) + m, m) for i, m in enumerate(lam, 1))
+def _states(rows: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    """The number of states :func:`_hook_sum` lists on the partitions with
+    these parts: row i of the inner one has C(r + lam_i, lam_i), its shift
+    vectors up to its reach r in the outer one."""
+    return sum(comb(_reach(rows, i, m) + m, m) for i, m in enumerate(inner, 1))
 
 
 def _hook_sum(nu: Partition, lam: Partition, h: dict[Cell, int]) -> int:
@@ -129,9 +127,9 @@ def naruse_count(nu: Partition, lam: Partition) -> int:
     if not contains(lam, nu):
         raise ValueError(f"{lam!r} is not contained in {nu!r}")
     if lam:
-        conj = nu.conjugate(), lam.conjugate()
-        if _states(*conj) < _states(nu, lam):
-            nu, lam = conj
+        cols, inner = _conjugate(nu.parts), _conjugate(lam.parts)
+        if _states(cols, inner) < _states(nu.parts, lam.parts):
+            nu, lam = Partition(cols), Partition(inner)
     h = hooks(nu)
     numerator = factorial(nu.size - lam.size) * _hook_sum(nu, lam, h)
     denominator = prod(h.values())

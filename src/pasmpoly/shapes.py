@@ -74,13 +74,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        return Partition(_conjugate(self.parts))
 
     def diagram(self) -> frozenset[Cell]:
         """All cells (i, j) with 1 <= j <= parts[i]."""
@@ -94,6 +88,15 @@ class Partition:
     @classmethod
     def from_json(cls, data: Iterable[int]) -> "Partition":
         return cls(data)
+
+
+def _conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of the conjugate of the partition with these parts: read
+    from the last row up, row i adds part i - part i+1 columns of length i."""
+    cols: list[int] = []
+    for i in range(len(parts), 0, -1):
+        cols += [i] * (parts[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def contains(inner: Partition, outer: Partition) -> bool:

@@ -235,8 +235,8 @@ def _aitken_count(nu: Partition, lam: Partition) -> int:
     remainder.
     """
     ell = len(nu)
-    tops = [nu.part(i) + ell - i for i in range(1, ell + 1)]
-    lows = [lam.part(j) + ell - j for j in range(1, ell + 1)]
+    tops = [p + ell - i for i, p in enumerate(nu.parts, 1)]
+    lows = [q + ell - j for j, q in enumerate(lam.parts + (0,) * (ell - len(lam)), 1)]
     numerator = factorial(nu.size - lam.size) * det([[perm(a, b) for b in lows] for a in tops])
     denominator = prod(map(factorial, tops))
     quotient, remainder = divmod(numerator, denominator)
@@ -254,18 +254,18 @@ def _gessel_viennot_values(nu: Partition, lam: Partition, t_max: int) -> list[in
     f -> f(i, j) + i turns the maps into {1, ..., t} into fillings strict
     down the columns whose row i takes values in {i + 1, ..., i + t}, and
     those are counted by nonintersecting lattice paths.  h_k(N) =
-    C(N + k - 1, k) counts the multisets of k values out of N: h_0 = 1,
-    and h_k = 0 for k < 0 or N + k - 1 < 0.
+    C(N + k - 1, k) counts the multisets of k values out of N, so with
+    a = nu_i - lam_j and k = a - i + j the entry is C(t - 1 + a, k): 1 for
+    k = 0, and 0 for k < 0.  Its top t - 1 + a is never negative when
+    k >= 0, as t >= 1: if i <= j then a >= nu_j - lam_j >= 0, and if
+    i > j then k >= 0 forces a >= i - j > 0.  The pairs (a, k) are read
+    once from the parts, lam padded with zeros to l(nu), and each t's
+    matrix is one comprehension over them.
     """
     ell = len(nu)
-
-    def h(k: int, N: int) -> int:
-        if k == 0:
-            return 1
-        return comb(N + k - 1, k) if k > 0 and N + k - 1 >= 0 else 0
-
-    return [det([[h(nu.part(i) - lam.part(j) - i + j, t + i - j) for j in range(1, ell + 1)]
-                 for i in range(1, ell + 1)])
+    lams = lam.parts + (0,) * (ell - len(lam))
+    pairs = [[(p - q, p - q - i + j) for j, q in enumerate(lams)] for i, p in enumerate(nu.parts)]
+    return [det([[comb(t - 1 + a, k) if k >= 0 else 0 for a, k in row] for row in pairs])
             for t in range(1, t_max + 1)]
 
 
@@ -287,12 +287,16 @@ def enumerate_filters(P: SkewPoset) -> list[frozenset[Cell]]:
 
 
 class UniPoly:
-    """Univariate polynomial with exact coefficients, constant term first."""
+    """Univariate polynomial with exact coefficients, constant term first.
+
+    Every coefficient is a Fraction: a Fraction is kept as it is, and any
+    other value goes through ``_exact`` first.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar] = ()):
-        cs = [Fraction(_exact(c)) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -337,10 +341,12 @@ def interpolate_polynomial(values: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     Horner's rule expands the Newton form sum_k c_k (s - x_0)...(s - x_{k-1})
     over D_d, and the coefficient a_j / D_d of s^j gives p's coefficient
     a_j X^j / (D_d Y), one Fraction each.  Both passes take O(n^2) int
-    operations.
+    operations.  The samples are read through ``_exact``, so int samples
+    stay ints, whose numerator and denominator are themselves and 1, and
+    an abscissa such as Fraction(2, 2) equals the int it reduces to.
     """
-    xs = [Fraction(_exact(x)) for x, _ in values]
-    ys = [Fraction(_exact(y)) for _, y in values]
+    xs = [_exact(x) for x, _ in values]
+    ys = [_exact(y) for _, y in values]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
     xden = lcm(*[x.denominator for x in xs])  # lists, as in SkewShape.cells

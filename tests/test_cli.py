@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -19,6 +20,7 @@ from pasmpoly import (
     vertex_matrix,
 )
 from pasmpoly.cli import build_parser, main
+from pasmpoly.skewposet import _aitken_count
 
 from families import all_skew_shapes
 from golden import COMPLETED_4, PARTIAL_4, RATIONAL_POINT_422_31
@@ -156,6 +158,27 @@ def test_ehrhart_beyond_fifteen_cells(capsys):
     e = count_linear_extensions(build_poset(SkewShape(Partition([4, 4, 4, 4]), Partition())))
     assert len(coeffs) == 17
     assert Fraction(coeffs[-1]) == Fraction(e, factorial(16))
+
+
+def test_ehrhart_leading_coefficient_is_aitkens_count_on_random_shapes(capsys):
+    # The Gessel-Viennot values, their interpolation and UniPoly against
+    # Aitken's determinant, an independent formula, on seeded shapes of up
+    # to 8 rows and 12 columns, d from 20 to 56, past the d <= 8 sweeps.
+    rng = random.Random(42)
+    sizes = []
+    for _ in range(20):
+        nu = sorted((rng.randint(3, 12) for _ in range(rng.randint(3, 8))), reverse=True)
+        lam = [min(a, b) for a, b in zip(sorted((rng.randint(0, p // 2) for p in nu), reverse=True), nu)]
+        nu, lam = Partition(nu), Partition(lam)
+        d = nu.size - lam.size
+        code, out = run(capsys, "ehrhart", "--nu", ",".join(map(str, nu)),
+                        "--lambda", ",".join(map(str, lam)), "--tmax", "0")
+        assert code == 0
+        coeffs = json.loads(out.splitlines()[-1].partition(": ")[2].replace("'", '"'))
+        assert len(coeffs) == d + 1, (nu, lam)
+        assert Fraction(coeffs[-1]) * factorial(d) == _aitken_count(nu, lam), (nu, lam)
+        sizes.append(d)
+    assert max(sizes) >= 50
 
 
 def test_ehrhart_rejects_negative_tmax(capsys):

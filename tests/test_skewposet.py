@@ -390,6 +390,19 @@ def test_interpolate_polynomial_examples():
         interpolate_polynomial([(Fraction(2, 2), 0), (1, 5)])
 
 
+def test_interpolate_polynomial_reads_int_and_fraction_samples_alike():
+    # Int samples stay ints inside; the same samples as Fractions give an
+    # equal polynomial, and every coefficient is a Fraction either way.
+    P = build_poset(EXAMPLE)
+    samples = list(enumerate(order_polynomial_values(P, len(P) + 1), start=1))
+    as_fractions = [(F(t), F(v)) for t, v in samples]
+    poly = interpolate_polynomial(samples)
+    assert poly == interpolate_polynomial(as_fractions) == lagrange_interpolate(samples)
+    assert poly.leading_coefficient == F(1, 3)
+    for q in (poly, interpolate_polynomial(as_fractions), interpolate_polynomial([(0, 2), (2, 3)])):
+        assert all(type(c) is Fraction for c in q.coeffs), q
+
+
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
@@ -529,6 +542,10 @@ def test_unipoly_basics():
     assert q(3) == 7
     assert q.to_json() == ["1", "2"]
     assert UniPoly([F(1, 3)]).to_json() == ["1/3"]
+    # Every coefficient is a Fraction, an int and an integral Fraction alike.
+    r = UniPoly([2, F(1, 2), F(4, 2), 0, F(0)])
+    assert r.coeffs == (2, F(1, 2), 2)
+    assert all(type(c) is Fraction for c in (*r.coeffs, *q.coeffs, UniPoly().leading_coefficient))
 
 
 def test_poset_json_round_trip():

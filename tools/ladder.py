@@ -1,6 +1,6 @@
 """Timings of the bench ladder: every CLI subcommand on each ladder shape,
-``dim`` at four frontier shapes, ``volume`` at two, and the certificate's
-dilate census at four points past the guardrail.
+``dim`` at four frontier shapes, ``volume`` at two, ``ehrhart`` at three,
+and the certificate's dilate census at four points past the guardrail.
 
     python tools/ladder.py [--src NAME=PATH ...] > BENCH_<pr>.json
 
@@ -13,8 +13,8 @@ tree alternating from round to round, so a slow spell of a shared host
 falls on both; the output keeps each operation's best over 9 rounds.
 ``main()`` calls capture their output; ``check`` and ``phi`` read the
 first vertex of the shape, the latter in a square box.  A ladder command's
-or a frontier ``volume``'s result is its exit code, a frontier ``dim``'s
-the dimension it prints.  The census times call ``equivalences._census``
+or a frontier ``volume``'s or ``ehrhart``'s result is its exit code, a
+frontier ``dim``'s the dimension it prints.  The census times call ``equivalences._census``
 directly.  The output is one JSON object; its ``machine`` entry names
 where it ran.  Standard library only.
 """
@@ -52,9 +52,13 @@ DIM = ((10,) * 9, (11,) * 10, (60,) * 4, (200,) * 3)
 # (nu, lam): volume on 20^19/(12,9,9,5,3,1), whose hook transfer runs on the
 # conjugates, and on 9^8/(5,4,3,3), with 610 344 excited diagrams.
 VOLUME = (((20,) * 19, (12, 9, 9, 5, 3, 1)), ((9,) * 8, (5, 4, 3, 3)))
+# (nu, lam): ehrhart, which interpolates L(0..d) from d + 1 Gessel-Viennot
+# determinants, on 12^11 (d = 132), 20^19 (d = 380) and
+# 20^19/(12,9,9,5,3,1) (d = 341).
+EHRHART = (((12,) * 11, ()), ((20,) * 19, ()), ((20,) * 19, (12, 9, 9, 5, 3, 1)))
 # (nu, t): the census of the t-th dilate of nu, beyond the dilate guardrail.
 CENSUS = (((4, 4, 4), 8), ((6,) * 5, 4), ((9,) * 8, 2), ((12,) * 11, 2))
-OPERATIONS = len(LADDER) * len(COMMANDS) + len(DIM) + len(VOLUME) + len(CENSUS)
+OPERATIONS = len(LADDER) * len(COMMANDS) + len(DIM) + len(VOLUME) + len(EHRHART) + len(CENSUS)
 REPS = 3
 ROUNDS = 9
 
@@ -102,10 +106,11 @@ def _operations(src: str, tmp: str) -> list[tuple[dict, object]]:
                         lambda argv=argv: run(argv)))
     for nu in DIM:
         ops.append(({"shape": _label(nu), "d": sum(nu), "command": "dim"}, lambda nu=nu: dim(nu)))
-    for nu, lam in VOLUME:
-        argv = ["volume", "--nu", ",".join(map(str, nu)), "--lambda", ",".join(map(str, lam))]
-        ops.append(({"shape": _label(nu, lam), "d": sum(nu) - sum(lam), "command": "volume"},
-                    lambda argv=argv: run(argv)))
+    for command, shapes in (("volume", VOLUME), ("ehrhart", EHRHART)):
+        for nu, lam in shapes:
+            argv = [command, "--nu", ",".join(map(str, nu)), "--lambda", ",".join(map(str, lam))]
+            ops.append(({"shape": _label(nu, lam), "d": sum(nu) - sum(lam), "command": command},
+                        lambda argv=argv: run(argv)))
     for nu, t in CENSUS:
         shape = SkewShape(Partition(nu), Partition())
         poly, P = PasmPolytope(shape), build_poset(shape)
@@ -161,9 +166,9 @@ def main(argv=None) -> int:
         for proc in children.values():
             proc.stdin.close()
             proc.wait()
-    cuts = list(accumulate((len(LADDER) * len(COMMANDS), len(DIM), len(VOLUME), len(CENSUS)),
-                           initial=0))
-    groups = ("commands", "dim", "volume", "census")
+    cuts = list(accumulate((len(LADDER) * len(COMMANDS), len(DIM), len(VOLUME), len(EHRHART),
+                            len(CENSUS)), initial=0))
+    groups = ("commands", "dim", "volume", "ehrhart", "census")
     result = {
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
